@@ -63,7 +63,8 @@ def bench_trace(order):
         kernel.BACKEND = backend
         monodromy._branch_spectrum.cache_clear()
         try:
-            t = _timeit(lambda: trace_series(expr, 1, as_frac(order)), repeat=1)
+            t = _timeit(lambda: trace_series(expr, 1, as_frac(order), route="spectral"),
+                        repeat=1)
         finally:
             kernel.BACKEND = old
             monodromy._branch_spectrum.cache_clear()

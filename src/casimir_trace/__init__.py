@@ -21,7 +21,6 @@ from .closed_forms import (
     partial_theta,
     verma_multiplicities,
 )
-from .cli import main, parse_rep, pretty
 from .errors import (
     DomainError,
     InvariantError,
@@ -62,6 +61,20 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# The command-line names load on first use, so that ``python -m
+# casimir_trace.cli`` does not find the module already imported by the
+# package and run a second copy of it.
+_CLI_NAMES = ("main", "parse_rep", "pretty")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AppellLerchParams",

@@ -447,18 +447,8 @@ def _cmd_compare(args) -> int:
     alphas = tuple(a + g for a, b, g in counts)
     betas = tuple(b + g for a, b, g in counts)
     p = len(counts) - 1
-    import time
-
-    t0 = time.perf_counter()
-    witness = verify._three_routes(expr, alphas, betas, p, args.loops, _parse_order(args.order))
-    report = verify.CheckReport(
-        name=f"compare[{pretty(expr)}]",
-        status="fail" if witness else "pass",
-        covered=f"l={args.loops}, order<{args.order}, routes spectral/decomposition/closed-form",
-        witness=witness,
-        seconds=time.perf_counter() - t0,
-        extras={"alphas": list(alphas), "betas": list(betas), "p": p},
-    )
+    report = verify.compare_routes(f"compare[{pretty(expr)}]", expr, alphas, betas, p,
+                                   args.loops, _parse_order(args.order))
     _emit_report(report, args.format)
     return 0 if report.status == "pass" else 1
 

@@ -11,6 +11,26 @@ Everything is exact: integer kappa matrices, certified integer spectra
 (see kernel), Fraction similarity transforms.  The graded-trace driver
 never builds eigenvectors; algebraic multiplicities suffice for traces,
 so it scales to the large tensor products the equality checks need.
+
+Graded traces take one of three routes.  The default, "character", needs
+no matrix.  kappa = C - h^2/2 with C = ef + fe + h^2/2 the Casimir, and C
+acts on every composition factor of a Verma module M_mu by the central
+character mu(mu+2)/2 (L_mu and L_(-mu-2) share it).  Every module here has
+a Verma flag in the Grothendieck group, with signed multiplicity
+n_mu = dim W_mu - dim W_(mu+2), so on the weight-w space kappa has the
+generalized eigenvalue c = (mu(mu+2) - w^2)/2 with multiplicity the sum of
+n_mu over the mu >= w, mu = w (mod 2), that give this c.  That sum is the
+dimension of a generalized eigenspace, so a negative one is an invariant
+violation.  The character of a tensor branch is the product of its atom
+characters.  "spectral" takes the same per-branch spectra from the kappa
+matrices instead (the paper's method, kept as the oracle); "whole" walks
+the undistributed expression weight by weight.
+
+The cutoff is route-independent: with mu = w + 2j, the flag piece M_mu
+contributes -c/2 = -j^2 - (w+1)j - w/2, which is exactly the parabola that
+_exponent_floor minimizes over 0 <= j <= (top-w)/2.  So the same floor
+bounds every exponent the character produces, and _branch_depth_jobs stops
+each branch at the same depth on every route.
 """
 
 from __future__ import annotations
@@ -480,7 +500,9 @@ def _exponent_floor(top: int, w) -> Fraction:
     return min(at_zero, at_end)
 
 
-@lru_cache(maxsize=None)
+# The conjecture suite fills 315 keys and one oracle-battery round of
+# perfbench 180; an entry is a few integer pairs.
+@lru_cache(maxsize=4096)
 def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[tuple[int, int], ...], bool]:
     expr = branch_expr(key)
     basis = weight_space(expr, w)
@@ -511,15 +533,70 @@ def _validate_exponent(exp_unit: Fraction, floor: Fraction, w, key) -> None:
             f"slope {exp_unit} < {floor}")
 
 
-def trace_series(expr: ModuleExpr, l: int, order: Rat, distribute: bool = True) -> QSeries:
+def _character_spectra(key: BranchKey, depths: list[int]) -> list[list[tuple[int, int]]]:
+    """(eigenvalue, multiplicity) pairs of kappa at each depth, read off the
+    branch character (see the module docstring)."""
+    top = sum(t[1] for t in key)
+    deepest = depths[-1] if depths else 0
+    # convolve the atom characters 1 + t + t^2 + ... (M) and 1 + ... + t^n (L_n)
+    dims = [1] + [0] * deepest
+    for kind, k in key:
+        width = deepest if kind == "M" else k
+        dims = [sum(dims[max(0, d - width) : d + 1]) for d in range(deepest + 1)]
+    flag = [dims[j] - (dims[j - 1] if j else 0) for j in range(deepest + 1)]
+    spectra = []
+    for d in depths:
+        w = top - 2 * d
+        by_c: dict[int, int] = {}
+        for j in range(d + 1):
+            if flag[j]:
+                mu = top - 2 * j
+                c = (mu * (mu + 2) - w * w) // 2
+                by_c[c] = by_c.get(c, 0) + flag[j]
+        if any(m < 0 for m in by_c.values()):
+            raise InvariantError(
+                f"branch {key} weight {w}: negative generalized multiplicity {sorted(by_c.items())}")
+        spectra.append(sorted((c, m) for c, m in by_c.items() if m))
+    return spectra
+
+
+def _check_route(route: str, allowed: tuple[str, ...]) -> None:
+    if route not in allowed:
+        raise DomainError(f"unknown route {route!r}; expected one of {', '.join(allowed)}")
+
+
+def _branch_spectra(expr: ModuleExpr, l: int, order: Fraction, route: str):
+    """Yield (branch, multiplicity, weight, exponent floor, spectrum) for every
+    branch weight space above the cutoff, the spectrum taken by ``route``."""
+    branches = sorted(tensor_branches(expr).items())
+    if route == "spectral" and _threads() > 1 and kernel.backend_name() == "compiled":
+        jobs = [(key, sum(t[1] for t in key) - 2 * d)
+                for key, _ in branches for d in _branch_depth_jobs(key, l, order)]
+        with ThreadPoolExecutor(max_workers=_threads()) as pool:
+            list(pool.map(lambda j: _branch_spectrum(*j), jobs))
+    for key, mult in branches:
+        top = sum(t[1] for t in key)
+        depths = _branch_depth_jobs(key, l, order)
+        spectra = _character_spectra(key, depths) if route == "character" else None
+        for i, d in enumerate(depths):
+            w = top - 2 * d
+            eigs = spectra[i] if spectra is not None else _branch_spectrum(key, w)[0]
+            yield key, mult, w, _exponent_floor(top, w), eigs
+
+
+def trace_series(expr: ModuleExpr, l: int, order: Rat, route: str = "character") -> QSeries:
     """Graded monodromy trace: sum over weight spaces of sum_c m_c q^(-lc/2).
 
     Distributes over direct sums and tensor-of-sum structure (an exact
     isomorphism, independent of any conjecture), groups repeated branches,
     and walks each branch down in depth until the validated cutoff bound
-    proves all remaining exponents lie at or beyond ``order``."""
+    proves all remaining exponents lie at or beyond ``order``.  ``route``
+    picks where the spectra come from: "character" (default), "spectral"
+    (kappa matrices per branch) or "whole" (kappa matrices of the
+    undistributed expression)."""
     if l < 1:
         raise DomainError(f"loop count must be >= 1, got {l}")
+    _check_route(route, ("character", "spectral", "whole"))
     order = as_frac(order)
     out: dict[Fraction, Fraction] = {}
 
@@ -531,20 +608,8 @@ def trace_series(expr: ModuleExpr, l: int, order: Rat, distribute: bool = True) 
             if e < order:
                 out[e] = out.get(e, Fraction(0)) + mult * m
 
-    if distribute:
-        branches = tensor_branches(expr)
-        jobs = []
-        for key, mult in sorted(branches.items()):
-            top = sum(t[1] for t in key)
-            for d in _branch_depth_jobs(key, l, order):
-                w = top - 2 * d
-                jobs.append((key, mult, w, _exponent_floor(top, w)))
-        nthreads = _threads()
-        if nthreads > 1 and kernel.backend_name() == "compiled":
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                list(pool.map(lambda j: _branch_spectrum(j[0], j[2]), jobs))
-        for key, mult, w, floor in jobs:
-            eigs, _ = _branch_spectrum(key, w)
+    if route != "whole":
+        for key, mult, w, floor, eigs in _branch_spectra(expr, l, order, route):
             accumulate(eigs, mult, w, floor, key)
     else:
         branches = tensor_branches(expr)
@@ -563,33 +628,30 @@ def trace_series(expr: ModuleExpr, l: int, order: Rat, distribute: bool = True) 
     return QSeries(out, order)
 
 
-def trace_deformed(expr: ModuleExpr, l: int, order: Rat) -> BiSeries:
+def trace_deformed(expr: ModuleExpr, l: int, order: Rat, route: str = "character") -> BiSeries:
     """Weight-graded refinement: weight w contributes x^(-l w/2).
 
     Only defined when every populated weight is even and non-positive;
     otherwise the x-grading leaves the allowed lattice and the input is
-    rejected."""
+    rejected.  ``route`` is "character" (default) or "spectral", as in
+    trace_series."""
     if l < 1:
         raise DomainError(f"loop count must be >= 1, got {l}")
+    _check_route(route, ("character", "spectral"))
     order = as_frac(order)
     out: dict[tuple[Fraction, int], Fraction] = {}
-    for key, mult in sorted(tensor_branches(expr).items()):
-        top = sum(t[1] for t in key)
-        for d in _branch_depth_jobs(key, l, order):
-            w = top - 2 * d
-            if w % 2 or w > 0:
-                raise UnsupportedInputError(
-                    f"x-grading needs even non-positive weights; found weight {w}")
-            xe = -l * w // 2
-            floor = _exponent_floor(top, w)
-            eigs, _ = _branch_spectrum(key, w)
-            for c, m in eigs:
-                exp_unit = Fraction(-c, 2)
-                _validate_exponent(exp_unit, floor, w, key)
-                e = l * exp_unit
-                if e < order:
-                    ky = (e, xe)
-                    out[ky] = out.get(ky, Fraction(0)) + mult * m
+    for key, mult, w, floor, eigs in _branch_spectra(expr, l, order, route):
+        if w % 2 or w > 0:
+            raise UnsupportedInputError(
+                f"x-grading needs even non-positive weights; found weight {w}")
+        xe = -l * w // 2
+        for c, m in eigs:
+            exp_unit = Fraction(-c, 2)
+            _validate_exponent(exp_unit, floor, w, key)
+            e = l * exp_unit
+            if e < order:
+                ky = (e, xe)
+                out[ky] = out.get(ky, Fraction(0)) + mult * m
     return BiSeries(out, order)
 
 

@@ -157,7 +157,7 @@ def check_table1(l: int = 1, order=40) -> CheckReport:
     name = f"table1[l={l}]"
     covered = f"l={l}, order<{order}, rows L0,M0,Mminus2,P"
     for kind, expr in TABLE1_ROWS:
-        got = monodromy.trace_series(expr, l, order)
+        got = monodromy.trace_series(expr, l, order, route="spectral")
         want = partial_theta(kind, l, order).at_x_one()
         if not series_eq(got, want, order):
             return CheckReport(
@@ -204,11 +204,14 @@ def _sum_factor(a: int, b: int, g: int = 0) -> rep.ModuleExpr:
 
 def _three_routes(expr, alphas, betas, p, l, order) -> str | None:
     """Pairwise-compare the matrix trace, the Verma-constituent route, and
-    the closed form; returns a witness string or None."""
-    t_spec = monodromy.trace_series(expr, l, order)
+    the closed form, and the character trace against the matrix trace;
+    returns a witness string or None."""
+    t_spec = monodromy.trace_series(expr, l, order, route="spectral")
+    t_char = monodromy.trace_series(expr, l, order, route="character")
     t_dec = monodromy.trace_via_decomposition(alphas, betas, p, l, order)
     t_cf = partial_appell_lerch(AppellLerchParams(alphas, betas, p, l), order)
     for la, ra, a, b in (
+        ("spectral", "character", t_spec, t_char),
         ("spectral", "decomposition", t_spec, t_dec),
         ("decomposition", "closed-form", t_dec, t_cf),
         ("spectral", "closed-form", t_spec, t_cf),
@@ -216,6 +219,20 @@ def _three_routes(expr, alphas, betas, p, l, order) -> str | None:
         if not series_eq(a, b, order):
             return _witness_series(f"{la} vs {ra}", a, b, order)
     return None
+
+
+@_timed
+def compare_routes(name: str, expr, alphas, betas, p: int, l: int, order) -> CheckReport:
+    """The route comparison of Table 2 on one tensor product of direct sums
+    of M0, M(-2) and P, whose factors carry alphas M0 and betas M(-2) pieces
+    once P is resolved."""
+    witness = _three_routes(expr, alphas, betas, p, l, order)
+    return CheckReport(
+        name, "fail" if witness else "pass",
+        f"l={l}, order<{order}, routes spectral/character/decomposition/closed-form",
+        witness=witness,
+        extras={"alphas": list(alphas), "betas": list(betas), "p": p},
+    )
 
 
 def random_table2_config(rng: random.Random, max_mult: int = 2):
@@ -265,7 +282,7 @@ def check_partial_thetas(l: int = 1, order=25) -> CheckReport:
     name = f"partial-thetas[l={l}]"
     covered = f"l={l}, q-order<{order}, all four kinds, bidegree-exact"
     for kind, expr in TABLE1_ROWS:
-        got = monodromy.trace_deformed(expr, l, order)
+        got = monodromy.trace_deformed(expr, l, order, route="spectral")
         want = partial_theta(kind, l, order)
         if not biseries_eq(got, want, order):
             return CheckReport(
@@ -338,8 +355,8 @@ def test_conjecture1(alphas, betas, gammas, l: int = 1, order=25) -> CheckReport
     name = "conjecture1"
     covered = f"alphas={list(alphas)} betas={list(betas)} gammas={list(gammas)} l={l} order<{order}"
     f, fp = conjecture_pair(alphas, betas, gammas)
-    a = monodromy.trace_series(f, l, order)
-    b = monodromy.trace_series(fp, l, order)
+    a = monodromy.trace_series(f, l, order, route="spectral")
+    b = monodromy.trace_series(fp, l, order, route="spectral")
     if not series_eq(a, b, order):
         return CheckReport(
             name, "fail", covered,

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -231,3 +235,14 @@ def test_character_plain():
     code, out, _ = run(["character", "--rep", "P", "--order", "2"])
     assert code == 0
     assert "0\t1" in out and "-2\t2" in out
+
+
+def test_module_entry_point_runs_once():
+    # importing the package must not load the cli module ahead of runpy
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "casimir_trace.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

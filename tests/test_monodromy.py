@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from casimir_trace import monodromy, rep
+from casimir_trace.cli import parse_rep
 from casimir_trace.errors import DomainError, UnsupportedInputError
 from casimir_trace.monodromy import (
     flat_sections,
@@ -68,15 +69,15 @@ def test_trace_half_integer_exponents():
 
 def test_trace_distribute_agreement():
     expr = rep.Tensor((rep.DirectSum((M0, Mm2)), P))
-    a = trace_series(expr, 1, F(12), distribute=True)
-    b = trace_series(expr, 1, F(12), distribute=False)
+    a = trace_series(expr, 1, F(12), route="spectral")
+    b = trace_series(expr, 1, F(12), route="whole")
     assert series_eq(a, b, F(12))
 
 
 def test_trace_mixed_parity_sum():
     # direct sum with odd and even tops together
     expr = rep.DirectSum((M0, rep.Verma(-1)))
-    got = trace_series(expr, 1, F(4), distribute=False)
+    got = trace_series(expr, 1, F(4), route="whole")
     want = trace_series(M0, 1, F(4)) + trace_series(rep.Verma(-1), 1, F(4))
     assert series_eq(got, want, F(4))
 
@@ -91,6 +92,76 @@ def test_trace_q_to_ql():
 def test_trace_rejects_bad_loops():
     with pytest.raises(DomainError):
         trace_series(M0, 0, F(5))
+
+
+def test_trace_rejects_unknown_route():
+    with pytest.raises(DomainError):
+        trace_series(M0, 1, F(5), route="matrix")
+    with pytest.raises(DomainError):
+        trace_deformed(M0, 1, F(5), route="whole")
+
+
+def test_branch_spectrum_cache_is_bounded():
+    maxsize = monodromy._branch_spectrum.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 1000
+
+
+def _deformed_or_unsupported(expr, l, order, route):
+    try:
+        return trace_deformed(expr, l, order, route=route)
+    except UnsupportedInputError:
+        return "unsupported"
+
+
+def _assert_routes_agree(expr, l, order):
+    want = trace_series(expr, l, order, route="spectral")
+    got = trace_series(expr, l, order, route="character")
+    assert got.order == want.order and got.items() == want.items()
+    want_d = _deformed_or_unsupported(expr, l, order, "spectral")
+    assert _deformed_or_unsupported(expr, l, order, "character") == want_d
+
+
+@pytest.mark.parametrize("text, l, order", [
+    ("L3 x L2", 1, F(8)),            # finite: signed flag multiplicities cancel
+    ("M3 + L2 x P", 1, F(8)),        # branch tops of both parities
+    ("M2 x P", 1, F(8)),             # positive top: Laurent terms
+    ("M-1 x M-1", 1, F(8)),          # odd top weights: half-integer exponents
+    ("(M0 + M-2)^2 x P", 2, F(15, 2)),
+    ("P x M-4", 2, F(8)),
+])
+def test_character_route_matches_spectral_named(text, l, order):
+    _assert_routes_agree(parse_rep(text), l, order)
+
+
+ATOM = st.one_of(st.integers(-4, 3).map(rep.Verma), st.integers(0, 3).map(rep.Irr),
+                 st.just(P))
+FACTOR = st.one_of(
+    ATOM,
+    st.lists(ATOM, min_size=2, max_size=2).map(lambda ps: rep.DirectSum(tuple(ps))),
+    ATOM.map(lambda a: rep.Power(a, 2)),
+)
+TENSOR = st.lists(FACTOR, min_size=1, max_size=3).map(
+    lambda ps: ps[0] if len(ps) == 1 else rep.Tensor(tuple(ps)))
+EXPR = st.one_of(TENSOR, st.lists(TENSOR, min_size=2, max_size=2).map(
+    lambda ps: rep.DirectSum(tuple(ps))))
+
+
+def _largest_space(expr, l, order) -> int:
+    """Largest branch weight space the spectral route factors: its cost."""
+    largest = 0
+    for key in rep.tensor_branches(expr):
+        depths = monodromy._branch_depth_jobs(key, l, order)
+        if depths:
+            dims = rep.character(rep.branch_expr(key), depths[-1]).values()
+            largest = max(largest, *dims)
+    return largest
+
+
+@given(EXPR, st.sampled_from((1, 2)), st.integers(1, 16).map(lambda k: F(k, 2)))
+@settings(max_examples=200, deadline=None)
+def test_character_route_matches_spectral(expr, l, order):
+    assume(_largest_space(expr, l, order) <= 66)
+    _assert_routes_agree(expr, l, order)
 
 
 def test_monodromy_matrix_v_jordan():
