@@ -1,22 +1,25 @@
-"""Kernel driver: backend selection plus certified integer spectra.
+"""Certified integer spectra on top of one modular kernel (_purekernel).
 
-The two backends (compiled Cython, pure Python) expose identical modular
-primitives; this module picks one at import time (environment variable
-CASIMIR_TRACE_KERNEL forces the choice) and layers the exact machinery on
-top: CRT-reconstructed characteristic polynomials with a rigorous
-coefficient bound, and integer eigenvalue extraction with multiplicities.
+One modulus, many primes: Z/M is isomorphic to the product of the Z/p_i for
+M = p_1 ... p_k, so a single Hessenberg reduction or elimination modulo M
+yields every residue at once, as long as every pivot is a unit modulo M.
+A pivot that is a nonzero zero divisor shares a proper factor g with M; the
+computation then splits M = g * (M / g) and recurses on both factors, so the
+per-prime computation is just the fully split case.  Every pivot used is a
+unit modulo each prime, so each residue is the one a per-prime run gives.
 
 Two proof levels, reported via the ``exact`` flag:
 
 * dimension <= EXACT_DIM_MAX: the characteristic polynomial is exactly
-  reconstructed from enough primes to cover the Hadamard-style bound
-  binom(n,k) (sqrt(n) B)^k summed over k, i.e. (1 + sqrt(n) B)^n; integer
-  roots are then proven by synthetic division over Z with full deflation.
-* above the threshold: the spectrum is computed modulo three fixed 61-bit
-  primes and certified by cross-prime agreement, full splitting mod every
-  prime, and exact Newton checks (sum of roots = tr A, sum of squares =
-  tr A^2 over Z).  A wrong answer would need simultaneous coincidences
-  modulo three independent ~2^61 primes.
+  reconstructed modulo enough primes to cover the Gershgorin bound
+  (1 + R)^n on its coefficients, taken MODULUS_PRIMES at a time and joined
+  by CRT, then lifted symmetrically; integer roots are then proven by
+  synthetic division over Z with full deflation.
+* above the threshold: the spectrum is computed modulo the product of three
+  fixed 61-bit primes, reduced modulo each, and certified by cross-prime
+  agreement, full splitting mod every prime, and exact Newton checks (sum
+  of roots = tr A, sum of squares = tr A^2 over Z).  A wrong answer would
+  need simultaneous coincidences modulo three independent ~2^61 primes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import math
 import os
 
+from . import _purekernel
+from ._purekernel import NonUnitPivot
 from .errors import InvariantError, UnsupportedInputError
 
 PRIMES61 = (
@@ -64,68 +69,66 @@ PRIMES61 = (
 
 EXACT_DIM_MAX = int(os.environ.get("CASIMIR_TRACE_EXACT_DIM", "240"))
 CERTIFYING_PRIMES = PRIMES61[:3]
+CERTIFYING_MODULUS = math.prod(CERTIFYING_PRIMES)
 
-
-def _load_backend(name: str):
-    if name == "pure":
-        from . import _purekernel as impl
-        return impl
-    if name == "compiled":
-        from . import _speedups as impl  # type: ignore[attr-defined]
-        return impl
-    raise UnsupportedInputError(f"unknown kernel backend {name!r}")
-
-
-def _select() -> object:
-    forced = os.environ.get("CASIMIR_TRACE_KERNEL")
-    if forced:
-        return _load_backend(forced)
-    try:
-        return _load_backend("compiled")
-    except ImportError:
-        return _load_backend("pure")
-
-
-BACKEND = _select()
+# The one modular kernel; backend_name() reports its NAME.
+BACKEND = _purekernel
 
 
 def backend_name() -> str:
     return BACKEND.NAME
 
 
-def get_backend(name: str | None = None):
-    return BACKEND if name is None else _load_backend(name)
+def _crt_join(low: list[int], a: int, high: list[int], b: int) -> list[int]:
+    """The x in [0, ab) with x = low mod a and x = high mod b, for coprime a, b."""
+    inv = pow(a, -1, b)
+    return [x + a * ((y - x) * inv % b) for x, y in zip(low, high)]
 
 
-def _crt(residues: list[int], primes: list[int]) -> int:
-    """Symmetric CRT lift: the unique representative in (-P/2, P/2]."""
-    x, m = 0, 1
-    for r, p in zip(residues, primes):
-        # x' = x + m * t with t = (r - x)/m mod p
-        t = (r - x) % p * pow(m % p, p - 2, p) % p
-        x += m * t
-        m *= p
-    if 2 * x > m:
-        x -= m
-    return x
+def _charpoly_mod(flat: list[int], n: int, m: int) -> list[int]:
+    """det(xI - A) mod m, m a product of distinct table primes, in one pass
+    unless a pivot is a zero divisor; then m splits at the gcd and the two
+    halves rejoin by CRT."""
+    try:
+        return BACKEND.charpoly_mod(flat, n, m)
+    except NonUnitPivot as split:
+        a, b = split.g, m // split.g
+        return _crt_join(_charpoly_mod(flat, n, a), a, _charpoly_mod(flat, n, b), b)
 
 
-def charpoly_int(flat: list[int], n: int, backend=None) -> list[int]:
-    """Exact characteristic polynomial det(xI - A), coefficients ascending."""
-    impl = backend or BACKEND
-    bound = max((abs(e) for e in flat), default=0)
-    bits = 2 + math.ceil(n * math.log2(1.0 + math.sqrt(n) * bound)) if bound else 2
-    primes: list[int] = []
-    have = 0.0
+# Primes per modulus.  A ring operation costs a fixed interpreter overhead
+# plus a bigint part quadratic in the modulus length, so the time per prime
+# falls and then rises with the number of primes in one modulus.  Measured
+# on kappa matrices: 9 to 11 primes cost the same as one modulus or as
+# moduli of 8 (n = 52 to 60); at n = 221, 34 primes took 14.0 s in moduli of
+# 24, 10.4 s in moduli of 12 and 9.6 s in moduli of 8.
+MODULUS_PRIMES = 12
+
+
+def charpoly_int(flat: list[int], n: int) -> list[int]:
+    """Exact characteristic polynomial det(xI - A), coefficients ascending.
+
+    Every eigenvalue has |lambda| <= R = gershgorin_radius, so the
+    coefficient of x^(n-k), +-e_k(lambda), is at most C(n,k) R^k <= (1+R)^n
+    in absolute value; the modulus exceeds twice that, and the residue
+    lifts symmetrically."""
+    radius = gershgorin_radius(flat, n) if n else 0
+    bits = 2 + math.ceil(n * math.log2(1 + radius))
+    primes = []
+    modulus = 1
     for p in PRIMES61:
         primes.append(p)
-        have += math.log2(p)
-        if have > bits + 1:
+        modulus *= p
+        if modulus.bit_length() > bits + 1:
             break
     else:
-        raise InvariantError(f"prime table exhausted at dimension {n}, entry bound {bound}")
-    tables = [impl.charpoly_mod(flat, n, p) for p in primes]
-    return [_crt([t[k] for t in tables], primes) for k in range(n + 1)]
+        raise InvariantError(f"prime table exhausted at dimension {n}, Gershgorin radius {radius}")
+    residue, done = [0] * (n + 1), 1
+    for i in range(0, len(primes), MODULUS_PRIMES):
+        m = math.prod(primes[i : i + MODULUS_PRIMES])
+        residue = _crt_join(residue, done, _charpoly_mod(flat, n, m), m)
+        done *= m
+    return [c - modulus if 2 * c > modulus else c for c in residue]
 
 
 def gershgorin_radius(flat: list[int], n: int) -> int:
@@ -205,19 +208,18 @@ def trace_of_square(flat: list[int], n: int) -> int:
     return total
 
 
-def integer_spectrum(flat: list[int], n: int, backend=None) -> tuple[list[tuple[int, int]], bool]:
+def integer_spectrum(flat: list[int], n: int) -> tuple[list[tuple[int, int]], bool]:
     """Eigenvalues with algebraic multiplicities, all proven integers.
 
     Returns (sorted [(value, multiplicity)], exact) where ``exact`` records
     the proof level (True: exact deflation over Z; False: triple-prime
     certificate).  Raises UnsupportedInputError if the spectrum is not
     integral."""
-    impl = backend or BACKEND
     if n == 0:
         return [], True
     radius = gershgorin_radius(flat, n)
     if n <= EXACT_DIM_MAX:
-        cp = charpoly_int(flat, n, backend=impl)
+        cp = charpoly_int(flat, n)
         # cheap prescan mod one prime narrows the exact divisions
         p0 = PRIMES61[0]
         cand = [c for c, _ in _int_roots_window_mod([x % p0 for x in cp], p0, radius)]
@@ -227,9 +229,10 @@ def integer_spectrum(flat: list[int], n: int, backend=None) -> tuple[list[tuple[
                 f"matrix has a non-integer eigenvalue (dimension {n}, "
                 f"{sum(m for _, m in eigs)} integer roots found)")
         return sorted(eigs), True
+    cp_m = _charpoly_mod(flat, n, CERTIFYING_MODULUS)
     results = []
     for p in CERTIFYING_PRIMES:
-        cp_p = impl.charpoly_mod(flat, n, p)
+        cp_p = [c % p for c in cp_m]
         roots = sorted(_int_roots_window_mod(cp_p, p, radius))
         if sum(m for _, m in roots) != n:
             raise UnsupportedInputError(
@@ -246,13 +249,20 @@ def integer_spectrum(flat: list[int], n: int, backend=None) -> tuple[list[tuple[
     return eigs, False
 
 
-def nullity_mod(flat: list[int], n: int, c: int, s: int, p: int, backend=None) -> int:
-    """Nullity of (A - cI)^s mod p."""
-    impl = backend or BACKEND
+def _nullities(flat: list[int], n: int, m: int) -> set[int]:
+    try:
+        return {n - BACKEND.rank_mod(flat, n, n, m)}
+    except NonUnitPivot as split:
+        return _nullities(flat, n, split.g) | _nullities(flat, n, m // split.g)
+
+
+def nullity_mod(flat: list[int], n: int, c: int, s: int, m: int) -> set[int]:
+    """Nullities of (A - cI)^s modulo the prime factors of m, as a set: one
+    value unless the primes disagree."""
     base = list(flat)
     for i in range(n):
         base[i * n + i] -= c
     power = base
     for _ in range(s - 1):
-        power = impl.matmul_mod(power, base, n, p)
-    return n - impl.rank_mod(power, n, n, p)
+        power = BACKEND.matmul_mod(power, base, n, m)
+    return _nullities(power, n, m)

@@ -3,7 +3,7 @@
 Only what the representation and monodromy layers need: fraction-free
 integer rank, reduced echelon form, nullspaces, inverses, and dense
 matrix products over Fraction.  Sizes here are modest (the heavy modular
-work lives in the kernel backends), so clarity beats micro-optimization.
+work lives in the modular kernel), so clarity beats micro-optimization.
 """
 
 from __future__ import annotations

@@ -36,9 +36,7 @@ each branch at the same depth on every route.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -108,7 +106,7 @@ def _block_size(flat: list[int], n: int, c: int, m: int, exact: bool) -> int:
                 return s
         raise InvariantError(f"generalized eigenspace of {c} never reached multiplicity {m}")
     for s in range(1, m + 1):
-        nulls = {kernel.nullity_mod(flat, n, c, s, p) for p in kernel.CERTIFYING_PRIMES}
+        nulls = kernel.nullity_mod(flat, n, c, s, kernel.CERTIFYING_MODULUS)
         if len(nulls) != 1:
             raise InvariantError("certifying primes disagree on a nullity")
         if nulls.pop() == m:
@@ -479,13 +477,6 @@ def flat_sections(expr: ModuleExpr, w: int) -> FlatSectionExpr:
 # graded traces
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CASIMIR_TRACE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _exponent_floor(top: int, w) -> Fraction:
     """Validated lower bound on -c/2 over the weight-w space, given top weight.
 
@@ -569,11 +560,6 @@ def _branch_spectra(expr: ModuleExpr, l: int, order: Fraction, route: str):
     """Yield (branch, multiplicity, weight, exponent floor, spectrum) for every
     branch weight space above the cutoff, the spectrum taken by ``route``."""
     branches = sorted(tensor_branches(expr).items())
-    if route == "spectral" and _threads() > 1 and kernel.backend_name() == "compiled":
-        jobs = [(key, sum(t[1] for t in key) - 2 * d)
-                for key, _ in branches for d in _branch_depth_jobs(key, l, order)]
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            list(pool.map(lambda j: _branch_spectrum(*j), jobs))
     for key, mult in branches:
         top = sum(t[1] for t in key)
         depths = _branch_depth_jobs(key, l, order)

@@ -10,12 +10,11 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import closed_forms, monodromy, rep
 from .closed_forms import AppellLerchParams, partial_appell_lerch, partial_theta
@@ -429,12 +428,24 @@ class ZetaCheckParams:
             raise DomainError("tolerance must be positive")
 
 
+@lru_cache(maxsize=16)
+def _leggauss(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; read-only arrays, shared
+    by every caller."""
+    import numpy as np
+
+    x, wgt = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    wgt.flags.writeable = False
+    return x, wgt
+
+
 def _gl_term_integral(c: float, a: float, b: float, s: float, nodes: int) -> float:
     """integral of t^(s/2-1) e^(-c t) over [a, b]: geometric panels, fixed
     Gauss-Legendre rule per panel."""
     import numpy as np
 
-    x, wgt = np.polynomial.legendre.leggauss(nodes)
+    x, wgt = _leggauss(nodes)
     total = 0.0
     lo = a
     ratio = 4.0
@@ -571,18 +582,9 @@ CHECKS = {
 
 
 def run_checks(names=None, seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    """Run named checks (all by default); honors CASIMIR_TRACE_THREADS."""
+    """Run named checks (all by default), in order."""
     names = list(names) if names else list(CHECKS)
     for n in names:
         if n not in CHECKS:
             raise DomainError(f"unknown check {n!r}; available: {', '.join(CHECKS)}")
-    try:
-        workers = max(1, int(os.environ.get("CASIMIR_TRACE_THREADS", "1")))
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(lambda n: CHECKS[n](seed), names))
-    else:
-        groups = [CHECKS[n](seed) for n in names]
-    return [r for group in groups for r in group]
+    return [r for n in names for r in CHECKS[n](seed)]

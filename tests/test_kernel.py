@@ -1,17 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_trace import kernel, rep
+from casimir_trace import _purekernel, kernel, rep
 from casimir_trace.errors import UnsupportedInputError
 from casimir_trace.kernel import (
+    CERTIFYING_MODULUS,
     CERTIFYING_PRIMES,
     PRIMES61,
     charpoly_int,
-    get_backend,
+    gershgorin_radius,
     integer_spectrum,
+    nullity_mod,
     trace_of,
     trace_of_square,
 )
@@ -61,12 +67,8 @@ def test_naive_charpoly_sanity():
     assert naive_charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
 
 
-@pytest.mark.parametrize("backend_name", ["pure", "compiled"])
-def test_charpoly_mod_against_naive(backend_name):
-    try:
-        backend = get_backend(backend_name)
-    except Exception:
-        pytest.skip(f"{backend_name} backend unavailable")
+@pytest.mark.parametrize("backend", [kernel.BACKEND], ids=lambda b: b.NAME)
+def test_charpoly_mod_against_naive(backend):
     p = PRIMES61[0]
     rng = random.Random(7)
     for n in (1, 2, 3, 4, 5):
@@ -77,18 +79,76 @@ def test_charpoly_mod_against_naive(backend_name):
         assert got == want
 
 
-def test_backends_agree_on_larger_matrices():
-    try:
-        compiled = get_backend("compiled")
-    except Exception:
-        pytest.skip("compiled backend unavailable")
-    pure = get_backend("pure")
+def test_composite_modulus_reduces_to_each_prime():
     rng = random.Random(11)
-    p = PRIMES61[1]
     n = 40
     flat = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n * n)]
-    assert compiled.charpoly_mod(flat[:], n, p) == pure.charpoly_mod(flat[:], n, p)
-    assert compiled.rank_mod(flat[:], n, n, p) == pure.rank_mod(flat[:], n, n, p)
+    # rank 25 over Q, and modulo each prime
+    left = [rng.randrange(-9, 10) for _ in range(n * 25)]
+    right = [rng.randrange(-9, 10) for _ in range(25 * n)]
+    low_rank = [sum(left[i * 25 + k] * right[k * n + j] for k in range(25))
+                for i in range(n) for j in range(n)]
+    cp = _purekernel.charpoly_mod(flat, n, CERTIFYING_MODULUS)
+    for p in CERTIFYING_PRIMES:
+        assert [c % p for c in cp] == _purekernel.charpoly_mod(flat, n, p)
+        for a in (flat, low_rank):
+            assert _purekernel.rank_mod(a, n, n, CERTIFYING_MODULUS) == _purekernel.rank_mod(a, n, n, p)
+    assert _purekernel.rank_mod(low_rank, n, n, CERTIFYING_MODULUS) == 25
+
+
+def _per_prime_nullities(flat, n, c, s):
+    return {v for p in CERTIFYING_PRIMES for v in nullity_mod(flat, n, c, s, p)}
+
+
+def test_non_unit_pivots_split_the_modulus():
+    p0, p1 = PRIMES61[:2]
+    # the only pivot of [[0, 1], [p0, 0]] vanishes modulo p0 alone
+    with pytest.raises(_purekernel.NonUnitPivot) as split:
+        _purekernel.rank_mod([0, 1, p0, 0], 2, 2, CERTIFYING_MODULUS)
+    assert split.value.g == p0
+    assert charpoly_int([0, 1, p0, 0], 2) == naive_charpoly([[0, 1], [p0, 0]]) == [-p0, 0, 1]
+    assert nullity_mod([0, 1, p0, 0], 2, 0, 1, CERTIFYING_MODULUS) == {0, 1}
+    assert _per_prime_nullities([0, 1, p0, 0], 2, 0, 1) == {0, 1}
+
+    rng = random.Random(5)
+    entries = (0, p0, p1, p0 * p1, 1, -3, 7)
+    splits = 0
+    for _ in range(300):
+        a = [[rng.choice(entries) for _ in range(4)] for _ in range(4)]
+        flat = [e for row in a for e in row]
+        assert charpoly_int(flat, 4) == naive_charpoly(a)
+        for c, s in ((0, 1), (0, 2), (1, 1), (-3, 2)):
+            assert nullity_mod(flat, 4, c, s, CERTIFYING_MODULUS) == _per_prime_nullities(flat, 4, c, s)
+        try:
+            _purekernel.charpoly_mod(flat, 4, p0 * p1 * CERTIFYING_PRIMES[2])
+        except _purekernel.NonUnitPivot:
+            splits += 1
+    assert splits > 0  # the cases reach the splitting path
+
+
+@given(st.integers(1, 5), st.sampled_from([1, 50, 10 ** 6, 10 ** 60]), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_charpoly_int_matches_leibniz_within_gershgorin_bound(n, bound, seed):
+    rng = random.Random(seed)
+    a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    flat = [e for row in a for e in row]
+    coeffs = charpoly_int(flat, n)
+    assert coeffs == naive_charpoly(a)
+    limit = (1 + gershgorin_radius(flat, n)) ** n
+    assert all(abs(c) <= limit for c in coeffs)
+
+
+def test_spectral_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, casimir_trace\n"
+            "from casimir_trace import monodromy, rep\n"
+            "monodromy.spectral(rep.BigP(), -6)\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_charpoly_int_reconstructs_big_coefficients():
