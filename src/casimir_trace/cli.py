@@ -499,14 +499,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact monodromy traces of the Casimir connection and their closed forms")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, rep_required=True, weight=False):
+    # each subcommand offers only the formats it prints
+    plain_json = ("plain", "json")
+    all_formats = plain_json + ("csv",)
+
+    def common(p, rep_required=True, weight=False, formats=all_formats):
         if rep_required:
             p.add_argument("--rep", required=True, help="module expression, e.g. '(M0 + M-2)^2 x P'")
         p.add_argument("--loops", type=int, default=1, help="loop count l >= 1 (default 1)")
         p.add_argument("--order", default="20", help="series order N (rational, default 20)")
         if weight:
             p.add_argument("--weight", type=int, required=True, help="weight of the target space")
-        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+        p.add_argument("--format", choices=formats, default="plain")
 
     p = sub.add_parser("trace", help="graded monodromy trace of a module expression")
     common(p)
@@ -529,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2max", type=int, default=2, help="cone window: highest x2 exponent")
     p.add_argument("--loops", type=int, default=1)
     p.add_argument("--order", default="20")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("--format", choices=all_formats, default="plain")
     p.set_defaults(fn=_cmd_closed_form)
 
     p = sub.add_parser("character", help="weight-space dimensions down to a depth")
@@ -541,11 +545,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_spectral)
 
     p = sub.add_parser("jordan", help="Jordan form of kappa on a small weight space")
-    common(p, weight=True)
+    common(p, weight=True, formats=plain_json)
     p.set_defaults(fn=_cmd_jordan)
 
     p = sub.add_parser("flat-section", help="fundamental flat section on one weight space")
-    common(p, weight=True)
+    common(p, weight=True, formats=plain_json)
     p.set_defaults(fn=_cmd_flat_section)
 
     p = sub.add_parser("multiplicities", help="Verma multiplicity coefficients a_k")
@@ -553,11 +557,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", required=True)
     p.add_argument("--p", type=int)
     p.add_argument("--order", default="10", help="largest k to report")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("--format", choices=all_formats, default="plain")
     p.set_defaults(fn=_cmd_multiplicities)
 
     p = sub.add_parser("compare", help="three-route equality check for one expression")
-    common(p)
+    common(p, formats=plain_json)
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("conjecture", help="trace equality for one conjecture configuration")
@@ -567,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--loops", type=int, default=1)
     p.add_argument("--order", default="20")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("--format", choices=plain_json, default="plain")
     p.set_defaults(fn=_cmd_conjecture)
 
     p = sub.add_parser("zeta-check", help="numerical Mellin-transform identity check")
@@ -579,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--nodes", type=int, default=24)
     p.add_argument("--allow-inconclusive", action="store_true")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("--format", choices=plain_json, default="plain")
     p.set_defaults(fn=_cmd_zeta_check)
 
     p = sub.add_parser("verify", help="run the named oracle checks (default: all)")
@@ -587,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every check (the default)")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--allow-inconclusive", action="store_true")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("--format", choices=plain_json, default="plain")
     p.set_defaults(fn=_cmd_verify)
 
     return top

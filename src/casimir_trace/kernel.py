@@ -8,18 +8,26 @@ computation then splits M = g * (M / g) and recurses on both factors, so the
 per-prime computation is just the fully split case.  Every pivot used is a
 unit modulo each prime, so each residue is the one a per-prime run gives.
 
-Two proof levels, reported via the ``exact`` flag:
+The spectrum is never searched for: the caller predicts it (for kappa, from
+the character; see monodromy) and integer_spectrum proves the prediction by
+comparing det(xI - A) with prod (x - c)^m modulo enough primes.  First it
+checks that the multiplicities add up to n and that every predicted c lies
+in the Gershgorin window [-R, R].  Then the coefficient of x^(n-k) in
+either polynomial is +-e_k of n numbers of absolute value at most R, hence
+at most C(n,k) R^k <= (1+R)^n in absolute value: for the characteristic
+polynomial because every complex eigenvalue lies in the window, for the
+prediction because of the window check.  Two such polynomials that agree
+modulo M > 2 (1+R)^n are equal over Z.  Without the window check a
+predicted eigenvalue c + M would pass for c.  Two proof levels, reported
+via the ``exact`` flag:
 
-* dimension <= EXACT_DIM_MAX: the characteristic polynomial is exactly
-  reconstructed modulo enough primes to cover the Gershgorin bound
-  (1 + R)^n on its coefficients, taken MODULUS_PRIMES at a time and joined
-  by CRT, then lifted symmetrically; integer roots are then proven by
-  synthetic division over Z with full deflation.
-* above the threshold: the spectrum is computed modulo the product of three
-  fixed 61-bit primes, reduced modulo each, and certified by cross-prime
-  agreement, full splitting mod every prime, and exact Newton checks (sum
-  of roots = tr A, sum of squares = tr A^2 over Z).  A wrong answer would
-  need simultaneous coincidences modulo three independent ~2^61 primes.
+* dimension <= EXACT_DIM_MAX: the comparison runs modulo primes whose
+  product exceeds 8 (1+R)^n, taken MODULUS_PRIMES at a time, so equality
+  holds over Z and the spectrum is proven.
+* above the threshold: the comparison runs modulo the product of three
+  fixed 61-bit primes, backed by exact Newton checks (sum of m c = tr A,
+  sum of m c^2 = tr A^2 over Z).  A wrong prediction would need
+  simultaneous coincidences modulo three independent ~2^61 primes.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import os
 
 from . import _purekernel
 from ._purekernel import NonUnitPivot
-from .errors import InvariantError, UnsupportedInputError
+from .errors import InvariantError
 
 PRIMES61 = (
     2305843009213693951, 2305843009213693921, 2305843009213693907, 2305843009213693723,
@@ -105,14 +113,10 @@ def _charpoly_mod(flat: list[int], n: int, m: int) -> list[int]:
 MODULUS_PRIMES = 12
 
 
-def charpoly_int(flat: list[int], n: int) -> list[int]:
-    """Exact characteristic polynomial det(xI - A), coefficients ascending.
-
-    Every eigenvalue has |lambda| <= R = gershgorin_radius, so the
-    coefficient of x^(n-k), +-e_k(lambda), is at most C(n,k) R^k <= (1+R)^n
-    in absolute value; the modulus exceeds twice that, and the residue
-    lifts symmetrically."""
-    radius = gershgorin_radius(flat, n) if n else 0
+def _exact_moduli(n: int, radius: int) -> list[int]:
+    """Moduli of at most MODULUS_PRIMES table primes whose product exceeds
+    8 (1 + radius)^n: two coefficients within the Gershgorin bound
+    (1 + radius)^n differ by less than a quarter of that."""
     bits = 2 + math.ceil(n * math.log2(1 + radius))
     primes = []
     modulus = 1
@@ -123,12 +127,7 @@ def charpoly_int(flat: list[int], n: int) -> list[int]:
             break
     else:
         raise InvariantError(f"prime table exhausted at dimension {n}, Gershgorin radius {radius}")
-    residue, done = [0] * (n + 1), 1
-    for i in range(0, len(primes), MODULUS_PRIMES):
-        m = math.prod(primes[i : i + MODULUS_PRIMES])
-        residue = _crt_join(residue, done, _charpoly_mod(flat, n, m), m)
-        done *= m
-    return [c - modulus if 2 * c > modulus else c for c in residue]
+    return [math.prod(primes[i : i + MODULUS_PRIMES]) for i in range(0, len(primes), MODULUS_PRIMES)]
 
 
 def gershgorin_radius(flat: list[int], n: int) -> int:
@@ -139,58 +138,18 @@ def gershgorin_radius(flat: list[int], n: int) -> int:
     return min(rowmax, colmax)
 
 
-def _int_roots_window_mod(cp: list[int], p: int, radius: int) -> list[tuple[int, int]]:
-    """Roots of cp mod p among integers in [-radius, radius], with
-    multiplicities found by repeated synthetic division mod p."""
-    out = []
-    work = [c % p for c in cp]
-    for c in range(-radius, radius + 1):
-        cm = c % p
-        # Horner evaluation
-        acc = 0
-        for coeff in reversed(work):
-            acc = (acc * cm + coeff) % p
-        if acc:
-            continue
-        mult = 0
-        while len(work) > 1:
-            # divide by (x - c): synthetic division, remainder must vanish
-            q = [0] * (len(work) - 1)
-            carry = 0
-            for k in range(len(work) - 1, 0, -1):
-                carry = (work[k] + carry * cm) % p
-                q[k - 1] = carry
-            rem = (work[0] + carry * cm) % p
-            if rem:
-                break
-            work = q
-            mult += 1
-        if mult:
-            out.append((c, mult))
-    return out
-
-
-def _int_roots_exact(cp: list[int], candidates: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
-    """Proven integer roots of an exact monic polynomial, plus the deflated
-    cofactor (which has no integer roots among the candidates)."""
-    out = []
-    work = list(cp)
-    for c in candidates:
-        mult = 0
-        while len(work) > 1:
-            q = [0] * (len(work) - 1)
-            carry = 0
-            for k in range(len(work) - 1, 0, -1):
-                carry = work[k] + carry * c
-                q[k - 1] = carry
-            rem = work[0] + carry * c
-            if rem:
-                break
-            work = q
-            mult += 1
-        if mult:
-            out.append((c, mult))
-    return out, work
+def _predicted_charpoly(eigs: list[tuple[int, int]]) -> list[int]:
+    """prod (x - c)^m over Z, coefficients ascending."""
+    poly = [1]
+    for c, m in eigs:
+        factor = [math.comb(m, k) * (-c) ** (m - k) for k in range(m + 1)]
+        out = [0] * (len(poly) + m)
+        for i, a in enumerate(poly):
+            if a:
+                for k, b in enumerate(factor):
+                    out[i + k] += a * b
+        poly = out
+    return poly
 
 
 def trace_of(flat: list[int], n: int) -> int:
@@ -208,45 +167,40 @@ def trace_of_square(flat: list[int], n: int) -> int:
     return total
 
 
-def integer_spectrum(flat: list[int], n: int) -> tuple[list[tuple[int, int]], bool]:
-    """Eigenvalues with algebraic multiplicities, all proven integers.
+def integer_spectrum(
+    flat: list[int], n: int, predicted: list[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], bool]:
+    """Proves that det(xI - A) = prod (x - c)^m over the predicted (c, m).
 
-    Returns (sorted [(value, multiplicity)], exact) where ``exact`` records
-    the proof level (True: exact deflation over Z; False: triple-prime
-    certificate).  Raises UnsupportedInputError if the spectrum is not
-    integral."""
+    Returns (the predicted pairs sorted, exact), where ``exact`` records the
+    proof level (True: equal over Z; False: triple-prime certificate).
+    Raises InvariantError when the matrix does not have the predicted
+    spectrum."""
+    eigs = sorted(predicted)
+    if any(m < 1 for _, m in eigs) or sum(m for _, m in eigs) != n:
+        raise InvariantError(f"predicted multiplicities {eigs} do not make up dimension {n}")
     if n == 0:
         return [], True
     radius = gershgorin_radius(flat, n)
+    outside = [c for c, _ in eigs if abs(c) > radius]
+    if outside:
+        raise InvariantError(
+            f"predicted eigenvalues {outside} lie outside the Gershgorin radius {radius}")
     if n <= EXACT_DIM_MAX:
-        cp = charpoly_int(flat, n)
-        # cheap prescan mod one prime narrows the exact divisions
-        p0 = PRIMES61[0]
-        cand = [c for c, _ in _int_roots_window_mod([x % p0 for x in cp], p0, radius)]
-        eigs, cofactor = _int_roots_exact(cp, cand)
-        if sum(m for _, m in eigs) != n or cofactor != [1]:
-            raise UnsupportedInputError(
-                f"matrix has a non-integer eigenvalue (dimension {n}, "
-                f"{sum(m for _, m in eigs)} integer roots found)")
-        return sorted(eigs), True
-    cp_m = _charpoly_mod(flat, n, CERTIFYING_MODULUS)
-    results = []
-    for p in CERTIFYING_PRIMES:
-        cp_p = [c % p for c in cp_m]
-        roots = sorted(_int_roots_window_mod(cp_p, p, radius))
-        if sum(m for _, m in roots) != n:
-            raise UnsupportedInputError(
-                f"characteristic polynomial does not split over the integer "
-                f"window mod {p} (dimension {n})")
-        results.append(roots)
-    if not (results[0] == results[1] == results[2]):
-        raise InvariantError("certifying primes disagree on the spectrum")
-    eigs = results[0]
-    if sum(m * c for c, m in eigs) != trace_of(flat, n):
-        raise InvariantError("Newton check failed: eigenvalue sum != trace")
-    if sum(m * c * c for c, m in eigs) != trace_of_square(flat, n):
-        raise InvariantError("Newton check failed: second power sum != tr(A^2)")
-    return eigs, False
+        moduli, exact = _exact_moduli(n, radius), True
+    else:
+        if sum(m * c for c, m in eigs) != trace_of(flat, n):
+            raise InvariantError("Newton check failed: eigenvalue sum != trace")
+        if sum(m * c * c for c, m in eigs) != trace_of_square(flat, n):
+            raise InvariantError("Newton check failed: second power sum != tr(A^2)")
+        moduli, exact = [CERTIFYING_MODULUS], False
+    target = _predicted_charpoly(eigs)
+    for m in moduli:
+        if _charpoly_mod(flat, n, m) != [c % m for c in target]:
+            raise InvariantError(
+                f"characteristic polynomial differs from the predicted one modulo a "
+                f"{m.bit_length()}-bit modulus (dimension {n})")
+    return eigs, exact
 
 
 def _nullities(flat: list[int], n: int, m: int) -> set[int]:

@@ -7,10 +7,11 @@ q = exp(4 pi i hbar), an eigenvalue c of kappa contributes q^(-l c/2) and
 each nilpotent part enters polynomially in mu.  Traces are mu-free and,
 summed over weight spaces, give the q-series the closed forms predict.
 
-Everything is exact: integer kappa matrices, certified integer spectra
-(see kernel), Fraction similarity transforms.  The graded-trace driver
-never builds eigenvectors; algebraic multiplicities suffice for traces,
-so it scales to the large tensor products the equality checks need.
+Everything is exact: integer kappa matrices, integer spectra predicted by
+the character and proven against them (see kernel), Fraction similarity
+transforms.  The graded-trace driver never builds eigenvectors; algebraic
+multiplicities suffice for traces, so it scales to the large tensor
+products the equality checks need.
 
 Graded traces take one of three routes.  The default, "character", needs
 no matrix.  kappa = C - h^2/2 with C = ef + fe + h^2/2 the Casimir, and C
@@ -22,9 +23,9 @@ generalized eigenvalue c = (mu(mu+2) - w^2)/2 with multiplicity the sum of
 n_mu over the mu >= w, mu = w (mod 2), that give this c.  That sum is the
 dimension of a generalized eigenspace, so a negative one is an invariant
 violation.  The character of a tensor branch is the product of its atom
-characters.  "spectral" takes the same per-branch spectra from the kappa
-matrices instead (the paper's method, kept as the oracle); "whole" walks
-the undistributed expression weight by weight.
+characters.  "spectral" proves those per-branch spectra against the kappa
+matrices (the paper's method, kept as the oracle; see kernel); "whole" does
+the same on the undistributed expression, weight by weight.
 
 The cutoff is route-independent: with mu = w + 2j, the flag piece M_mu
 contributes -c/2 = -j^2 - (w+1)j - w/2, which is exactly the parabola that
@@ -62,8 +63,9 @@ class SpectralData:
     """Eigenvalues of kappa on one weight space.
 
     eigen: sorted (eigenvalue, algebraic multiplicity, max Jordan block).
-    exact: True when both spectrum and block sizes are proven over Q;
-    False when the triple-prime certificate was used (see kernel)."""
+    exact: True when the spectrum and the block sizes of every tensor branch
+    are proven over Q; False when any of them used the triple-prime
+    certificate (see kernel)."""
 
     weight: int
     dimension: int
@@ -95,34 +97,60 @@ def _int_matpow_minus_c(flat: list[int], n: int, c: int, s: int) -> list[list[in
     return power
 
 
-def _block_size(flat: list[int], n: int, c: int, m: int, exact: bool) -> int:
-    """Smallest s with nullity((A-cI)^s) = m, i.e. the largest Jordan block."""
+def _block_size(flat: list[int], n: int, c: int, m: int, exact: bool) -> tuple[int, bool]:
+    """Smallest s with nullity((A-cI)^s) = m, i.e. the largest Jordan block,
+    and whether it is proven over Q (False: from the modular certificate)."""
     if m == 1:
-        return 1
+        return 1, True
     if exact and n <= EXACT_BLOCKS_MAX:
         for s in range(1, m + 1):
             power = _int_matpow_minus_c(flat, n, c, s)
             if n - linalg.rank_int(power, n) == m:
-                return s
+                return s, True
         raise InvariantError(f"generalized eigenspace of {c} never reached multiplicity {m}")
     for s in range(1, m + 1):
         nulls = kernel.nullity_mod(flat, n, c, s, kernel.CERTIFYING_MODULUS)
         if len(nulls) != 1:
             raise InvariantError("certifying primes disagree on a nullity")
         if nulls.pop() == m:
-            return s
+            return s, False
     raise InvariantError(f"generalized eigenspace of {c} never reached multiplicity {m}")
 
 
 def spectral(expr: ModuleExpr, w: int, want_blocks: bool = True) -> SpectralData:
-    """Certified eigenvalue data of kappa on the weight-w space."""
-    n, flat = kappa_flat(expr, w)
-    eigs, exact = kernel.integer_spectrum(flat, n)
-    triples = []
-    for c, m in eigs:
-        b = _block_size(flat, n, c, m, exact) if want_blocks else 0
-        triples.append((c, m, b))
-    return SpectralData(weight=w, dimension=n, eigen=tuple(triples), exact=exact)
+    """Certified eigenvalue data of kappa on the weight-w space.
+
+    Computed branch by branch: tensor products distribute over direct sums
+    as modules, so the weight space is the direct sum of the weight spaces
+    of the distinct tensor branches, each repeated by its multiplicity, and
+    kappa preserves every summand.  Dimensions and multiplicities add, the
+    largest Jordan block is the largest over the branches, and ``exact``
+    holds only if every branch's spectrum and block sizes are proven over
+    Q: the proof level is that of the weakest summand."""
+    dimension = 0
+    mults: dict[int, int] = {}
+    blocks: dict[int, int] = {}
+    exact = True
+    for key, k in tensor_branches(expr).items():
+        eigs, branch_exact = _branch_spectrum(key, w)
+        if not eigs:
+            continue
+        n = sum(m for _, m in eigs)
+        dimension += k * n
+        exact = exact and branch_exact
+        flat = None
+        for c, m in eigs:
+            mults[c] = mults.get(c, 0) + k * m
+            if want_blocks:
+                if m > 1 and flat is None:
+                    flat = kappa_flat(branch_expr(key), w)[1]
+                b, proven = _block_size(flat, n, c, m, branch_exact)
+                blocks[c] = max(blocks.get(c, 0), b)
+                exact = exact and proven
+    if not dimension:
+        raise DomainError(f"weight space at w={w} is zero")
+    triples = tuple((c, m, blocks.get(c, 0)) for c, m in sorted(mults.items()))
+    return SpectralData(weight=w, dimension=dimension, eigen=triples, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +182,7 @@ def spectral_components(expr: ModuleExpr, w: int) -> tuple[list, _Components]:
     are computed by exact nullspaces and must exhaust the space."""
     basis = weight_space(expr, w)
     n, flat = kappa_flat(expr, w, basis)
-    eigs, _exact = kernel.integer_spectrum(flat, n)
+    eigs, _exact = kernel.integer_spectrum(flat, n, _predicted_spectrum(tensor_branches(expr), w))
     a_frac = linalg.mat_from_int(flat, n)
     columns: list[list[Fraction]] = []
     spans: list[tuple[int, int, int, int]] = []  # (c, start, size, chain length)
@@ -500,7 +528,8 @@ def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[tuple[int, int], ...
     if not basis:
         return (), True
     n, flat = kappa_flat(expr, w, basis)
-    eigs, exact = kernel.integer_spectrum(flat, n)
+    predicted = _character_spectra(key, [(sum(t[1] for t in key) - w) // 2])[0]
+    eigs, exact = kernel.integer_spectrum(flat, n, predicted)
     return tuple(eigs), exact
 
 
@@ -549,6 +578,19 @@ def _character_spectra(key: BranchKey, depths: list[int]) -> list[list[tuple[int
                 f"branch {key} weight {w}: negative generalized multiplicity {sorted(by_c.items())}")
         spectra.append(sorted((c, m) for c, m in by_c.items() if m))
     return spectra
+
+
+def _predicted_spectrum(branches: Counter, w: int) -> list[tuple[int, int]]:
+    """kappa's spectrum on the weight-w space of a direct sum of tensor
+    branches (a Counter as from tensor_branches), read off their characters."""
+    total: dict[int, int] = {}
+    for key, mult in branches.items():
+        depth, odd = divmod(sum(t[1] for t in key) - w, 2)
+        if depth < 0 or odd:
+            continue
+        for c, m in _character_spectra(key, [depth])[0]:
+            total[c] = total.get(c, 0) + mult * m
+    return sorted(total.items())
 
 
 def _check_route(route: str, allowed: tuple[str, ...]) -> None:
@@ -608,7 +650,7 @@ def trace_series(expr: ModuleExpr, l: int, order: Rat, route: str = "character")
             basis = weight_space(expr, w)
             if basis:
                 n, flat = kappa_flat(expr, w, basis)
-                eigs, _ = kernel.integer_spectrum(flat, n)
+                eigs, _ = kernel.integer_spectrum(flat, n, _predicted_spectrum(branches, w))
                 accumulate(eigs, 1, w, _exponent_floor(top, w), "whole expression")
             w -= step
     return QSeries(out, order)

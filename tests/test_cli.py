@@ -161,6 +161,21 @@ def test_exit_code_check_failure():
     assert code2 == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["jordan", "--rep", "P", "--weight", "-2"],
+    ["flat-section", "--rep", "P", "--weight", "-2"],
+    ["compare", "--rep", "(M0 + P) x (M-2 + P)", "--order", "4"],
+    ["conjecture", "--alphas", "1", "--betas", "1", "--gammas", "1", "--order", "4"],
+    ["zeta-check", "--s", "2"],
+    ["verify", "--checks", "zeta"],
+], ids=lambda argv: argv[0])
+def test_csv_is_refused_where_not_implemented(argv):
+    code, out, err = run(argv + ["--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
+
+
 def test_trace_csv_shape():
     code, out, _ = run(["trace", "--rep", "M0", "--order", "5", "--format", "csv"])
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_trace import _purekernel, kernel, rep
-from casimir_trace.errors import UnsupportedInputError
+from casimir_trace import _purekernel, kernel, monodromy, rep
+from casimir_trace.errors import InvariantError
 from casimir_trace.kernel import (
     CERTIFYING_MODULUS,
     CERTIFYING_PRIMES,
     PRIMES61,
-    charpoly_int,
+    _charpoly_mod,
     gershgorin_radius,
     integer_spectrum,
     nullity_mod,
@@ -106,7 +107,9 @@ def test_non_unit_pivots_split_the_modulus():
     with pytest.raises(_purekernel.NonUnitPivot) as split:
         _purekernel.rank_mod([0, 1, p0, 0], 2, 2, CERTIFYING_MODULUS)
     assert split.value.g == p0
-    assert charpoly_int([0, 1, p0, 0], 2) == naive_charpoly([[0, 1], [p0, 0]]) == [-p0, 0, 1]
+    assert naive_charpoly([[0, 1], [p0, 0]]) == [-p0, 0, 1]
+    assert _charpoly_mod([0, 1, p0, 0], 2, CERTIFYING_MODULUS) == [
+        c % CERTIFYING_MODULUS for c in (-p0, 0, 1)]
     assert nullity_mod([0, 1, p0, 0], 2, 0, 1, CERTIFYING_MODULUS) == {0, 1}
     assert _per_prime_nullities([0, 1, p0, 0], 2, 0, 1) == {0, 1}
 
@@ -116,7 +119,8 @@ def test_non_unit_pivots_split_the_modulus():
     for _ in range(300):
         a = [[rng.choice(entries) for _ in range(4)] for _ in range(4)]
         flat = [e for row in a for e in row]
-        assert charpoly_int(flat, 4) == naive_charpoly(a)
+        assert _charpoly_mod(flat, 4, CERTIFYING_MODULUS) == [
+            c % CERTIFYING_MODULUS for c in naive_charpoly(a)]
         for c, s in ((0, 1), (0, 2), (1, 1), (-3, 2)):
             assert nullity_mod(flat, 4, c, s, CERTIFYING_MODULUS) == _per_prime_nullities(flat, 4, c, s)
         try:
@@ -128,14 +132,20 @@ def test_non_unit_pivots_split_the_modulus():
 
 @given(st.integers(1, 5), st.sampled_from([1, 50, 10 ** 6, 10 ** 60]), st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)
-def test_charpoly_int_matches_leibniz_within_gershgorin_bound(n, bound, seed):
+def test_charpoly_mod_matches_leibniz_within_gershgorin_bound(n, bound, seed):
     rng = random.Random(seed)
     a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
     flat = [e for row in a for e in row]
-    coeffs = charpoly_int(flat, n)
-    assert coeffs == naive_charpoly(a)
-    limit = (1 + gershgorin_radius(flat, n)) ** n
+    coeffs = naive_charpoly(a)
+    radius = gershgorin_radius(flat, n)
+    limit = (1 + radius) ** n
     assert all(abs(c) <= limit for c in coeffs)
+    # the exact proof level compares modulo these moduli; together they
+    # separate any two polynomials within the bound
+    moduli = kernel._exact_moduli(n, radius)
+    assert math.prod(moduli) > 2 * limit
+    for m in moduli:
+        assert _charpoly_mod(flat, n, m) == [c % m for c in coeffs]
 
 
 def test_spectral_leaves_numpy_unloaded():
@@ -151,12 +161,14 @@ def test_spectral_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_charpoly_int_reconstructs_big_coefficients():
+def test_charpoly_mod_big_companion_coefficients():
     # companion-style matrix with known characteristic polynomial
     # x^3 - 10^12 x - 7
     a = [[0, 0, 7], [1, 0, 10 ** 12], [0, 1, 0]]
-    coeffs = charpoly_int([e for row in a for e in row], 3)
-    assert coeffs == [-7, -(10 ** 12), 0, 1]
+    flat = [e for row in a for e in row]
+    assert naive_charpoly(a) == [-7, -(10 ** 12), 0, 1]
+    for m in (PRIMES61[0], CERTIFYING_MODULUS, math.prod(PRIMES61[:12])):
+        assert _charpoly_mod(flat, 3, m) == [c % m for c in (-7, -(10 ** 12), 0, 1)]
 
 
 def test_prime_table_is_prime_and_61_bit():
@@ -191,32 +203,82 @@ def test_prime_table_is_prime_and_61_bit():
 
 def test_integer_spectrum_diagonalizable():
     a = [-8, 0, 0, 0, -8, 0, 0, 0, -2]
-    eig, exact = integer_spectrum(a, 3)
+    eig, exact = integer_spectrum(a, 3, [(-2, 1), (-8, 2)])
     assert eig == [(-8, 2), (-2, 1)]
     assert exact
 
 
 def test_integer_spectrum_kappa_block():
     n, flat = rep.kappa_flat(rep.BigP(), -6)
-    eig, exact = integer_spectrum(flat, n)
+    eig, exact = integer_spectrum(flat, n, [(-18, 2)])
     assert eig == [(-18, 2)]
     assert exact
 
 
 def test_integer_spectrum_rejects_irrational():
-    # x^2 - 2: eigenvalues +-sqrt(2)
-    with pytest.raises(UnsupportedInputError):
-        integer_spectrum([0, 2, 1, 0], 2)
+    # x^2 - 2: eigenvalues +-sqrt(2), so no integer prediction holds
+    for a in range(-3, 4):
+        for b in range(a, 4):
+            with pytest.raises(InvariantError):
+                integer_spectrum([0, 2, 1, 0], 2, [(a, 1), (b, 1)])
+        with pytest.raises(InvariantError):
+            integer_spectrum([0, 2, 1, 0], 2, [(a, 2)])
 
 
 def test_certified_path_matches_exact_path(monkeypatch):
-    n, flat = rep.kappa_flat(rep.Tensor((rep.BigP(), rep.BigP())), -12)
-    eig_exact, exact = integer_spectrum(flat, n)
+    expr = rep.Tensor((rep.BigP(), rep.BigP()))
+    n, flat = rep.kappa_flat(expr, -12)
+    predicted = monodromy._predicted_spectrum(rep.tensor_branches(expr), -12)
+    eig_exact, exact = integer_spectrum(flat, n, predicted)
     assert exact
     monkeypatch.setattr(kernel, "EXACT_DIM_MAX", 1)
-    eig_cert, exact2 = integer_spectrum(flat, n)
+    eig_cert, exact2 = integer_spectrum(flat, n, predicted)
     assert not exact2
     assert eig_cert == eig_exact
+
+
+# kappa on P x M0 at weight -8 (n = 9) has the spectrum
+# (-32, 3), (-28, 2), (-20, 2), (-8, 2); each prediction below is wrong
+WRONG_PREDICTIONS = {
+    "moved": [(-32, 3), (-28, 2), (-20, 2), (-6, 2)],
+    "swapped": [(-32, 2), (-28, 3), (-20, 2), (-8, 2)],
+    "too-many": [(-32, 3), (-28, 2), (-20, 2), (-8, 3)],
+    "too-few": [(-32, 3), (-28, 2), (-20, 2)],
+}
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["exact", "certified"])
+@pytest.mark.parametrize("wrong", sorted(WRONG_PREDICTIONS))
+def test_integer_spectrum_rejects_wrong_predictions(monkeypatch, certified, wrong):
+    n, flat = rep.kappa_flat(rep.Tensor((rep.BigP(), rep.Verma(0))), -8)
+    right = [(-32, 3), (-28, 2), (-20, 2), (-8, 2)]
+    if certified:
+        monkeypatch.setattr(kernel, "EXACT_DIM_MAX", 1)
+    assert integer_spectrum(flat, n, right) == (right, not certified)
+    with pytest.raises(InvariantError):
+        integer_spectrum(flat, n, WRONG_PREDICTIONS[wrong])
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["exact", "certified"])
+def test_integer_spectrum_rejects_newton_blind_prediction(monkeypatch, certified):
+    # triangular with eigenvalues 0, 3, 3; the prediction 1, 1, 4 has the
+    # same sum and sum of squares and lies inside the Gershgorin radius 5,
+    # so only the charpoly comparison rejects it
+    flat = [0, 0, 5, 0, 3, 0, 0, 0, 3]
+    assert gershgorin_radius(flat, 3) == 5
+    if certified:
+        monkeypatch.setattr(kernel, "EXACT_DIM_MAX", 1)
+    assert integer_spectrum(flat, 3, [(3, 2), (0, 1)]) == ([(0, 1), (3, 2)], not certified)
+    with pytest.raises(InvariantError):
+        integer_spectrum(flat, 3, [(1, 2), (4, 1)])
+
+
+def test_integer_spectrum_checks_the_gershgorin_window():
+    # x - (5 + p0) agrees with x - 5 modulo p0, the one prime that n = 1
+    # needs; only the window check rejects it
+    with pytest.raises(InvariantError):
+        integer_spectrum([5], 1, [(5 + PRIMES61[0], 1)])
+    assert integer_spectrum([5], 1, [(5, 1)]) == ([(5, 1)], True)
 
 
 def test_newton_traces():
@@ -230,13 +292,16 @@ def test_charpoly_crt_consistency(n, seed):
     rng = random.Random(seed)
     a = [[rng.randrange(-50, 51) for _ in range(n)] for _ in range(n)]
     flat = [e for row in a for e in row]
-    coeffs = charpoly_int(flat, n)
+    residues = _charpoly_mod(flat, n, CERTIFYING_MODULUS)
+    # one pass modulo p1 p2 p3 reduces to each prime's own result
+    for p in CERTIFYING_PRIMES:
+        assert [c % p for c in residues] == _purekernel.charpoly_mod(flat, n, p)
+    # coefficients are far below the modulus here, so they lift symmetrically
+    coeffs = [c - CERTIFYING_MODULUS if 2 * c > CERTIFYING_MODULUS else c for c in residues]
     assert coeffs[-1] == 1  # monic
     assert coeffs[n - 1] == -trace_of(flat, n)
     # evaluate at a few integers against naive determinant of (xI - A)
     from fractions import Fraction
-
-    from casimir_trace.linalg import rref
 
     for x in (0, 1, -2):
         val = 0

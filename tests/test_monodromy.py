@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from casimir_trace import monodromy, rep
+from casimir_trace import kernel, monodromy, rep
 from casimir_trace.cli import parse_rep
 from casimir_trace.errors import DomainError, UnsupportedInputError
 from casimir_trace.monodromy import (
@@ -162,6 +162,50 @@ def _largest_space(expr, l, order) -> int:
 def test_character_route_matches_spectral(expr, l, order):
     assume(_largest_space(expr, l, order) <= 66)
     _assert_routes_agree(expr, l, order)
+
+
+def test_spectral_is_not_exact_when_blocks_come_from_the_certificate():
+    # n = 102 > EXACT_BLOCKS_MAX: the spectrum is exact, but the block size
+    # of the eigenvalue -50 (multiplicity 6) comes from nullities modulo
+    # p1 p2 p3
+    sd = spectral(rep.Tensor((P, P, P)), -10)
+    assert sd.dimension == 102 > monodromy.EXACT_BLOCKS_MAX
+    assert sd.eigen[0] == (-50, 6, 2)
+    assert not sd.exact
+    assert spectral(rep.Tensor((P, P, P)), -10, want_blocks=False).exact
+
+
+def test_spectral_sums_branches():
+    # six copies of one 44-dimensional branch, each exact
+    sd = spectral(parse_rep("(P x P)^6"), -22)
+    one = spectral(parse_rep("P x P"), -22)
+    assert (sd.dimension, one.dimension) == (264, 44)
+    assert sd.eigen == tuple((c, 6 * m, b) for c, m, b in one.eigen)
+    assert sd.exact and one.exact
+    with pytest.raises(DomainError):
+        spectral(parse_rep("M0 + M-2"), 1)
+
+
+def _whole_kappa_spectral(expr, w):
+    """SpectralData from kappa on the undistributed expression."""
+    n, flat = rep.kappa_flat(expr, w)
+    predicted = monodromy._predicted_spectrum(rep.tensor_branches(expr), w)
+    eigs, exact = kernel.integer_spectrum(flat, n, predicted)
+    triples = []
+    for c, m in eigs:
+        b, proven = monodromy._block_size(flat, n, c, m, exact)
+        triples.append((c, m, b))
+        exact = exact and proven
+    return n, tuple(triples), exact
+
+
+@given(EXPR, st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_spectral_branchwise_matches_whole_kappa(expr, depth):
+    w = rep.top_weight(expr) - depth
+    assume(0 < len(rep.weight_space(expr, w)) <= 66)
+    sd = spectral(expr, w)
+    assert (sd.dimension, sd.eigen, sd.exact) == _whole_kappa_spectral(expr, w)
 
 
 def test_monodromy_matrix_v_jordan():

@@ -99,6 +99,17 @@ def test_character_tensor_is_convolution():
         assert conv == d
 
 
+def test_weight_space_of_mixed_parity_tensor_leg():
+    # (M1 + M2) x M0 has weights of both parities below its top 2; a leg
+    # of mixed parity must not be walked in steps of 2 from its top
+    expr = Tensor((DirectSum((Verma(1), Verma(2))), M0))
+    for w in range(2, -8, -1):
+        want = sum(len(weight_space(Tensor((Verma(lam), M0)), w)) for lam in (1, 2))
+        assert len(weight_space(expr, w)) == want
+        assert len(weight_space(Tensor((M0, expr.parts[0])), w)) == want
+    assert len(weight_space(expr, 1)) == 1
+
+
 def test_branches_of_bigp_and_power():
     b = tensor_branches(P)
     assert b == {(("L", 1), ("M", -1)): 1}
