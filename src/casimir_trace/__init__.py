@@ -8,7 +8,7 @@ theta functions, and partial Appell-Lerch sums.
 Quick start::
 
     from casimir_trace import parse_rep, trace_series
-    s = trace_series(parse_rep("M0 x M0"), loops=1, order=10)
+    s = trace_series(parse_rep("M0 x M0"), 1, 10)
     print(s)
 """
 

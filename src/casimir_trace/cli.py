@@ -322,15 +322,15 @@ def _appell_params(args) -> AppellLerchParams:
 
 def _cmd_character(args) -> int:
     expr = parse_rep(args.rep)
-    ch = rep.character(expr, int(args.order))
+    ch = rep.character(expr, args.order)
     if args.format == "json":
-        _emit_json({"depth": int(args.order), "dimensions": {str(w): d for w, d in sorted(ch.items(), reverse=True)}})
+        _emit_json({"depth": args.order, "dimensions": {str(w): d for w, d in sorted(ch.items(), reverse=True)}})
     elif args.format == "csv":
         sys.stdout.write("weight,dimension\n")
         for w, d in sorted(ch.items(), reverse=True):
             sys.stdout.write(f"{w},{d}\n")
     else:
-        sys.stdout.write(f"# weight-space dimensions, top {int(args.order) + 1} layers\n")
+        sys.stdout.write(f"# weight-space dimensions, top {args.order + 1} layers\n")
         for w, d in sorted(ch.items(), reverse=True):
             sys.stdout.write(f"{w}\t{d}\n")
     return 0
@@ -537,7 +537,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_closed_form)
 
     p = sub.add_parser("character", help="weight-space dimensions down to a depth")
-    common(p)
+    p.add_argument("--rep", required=True, help="module expression, e.g. '(M0 + M-2)^2 x P'")
+    p.add_argument("--order", type=int, default=20,
+                   help="depth d: weights from top - 2d to top (default 20)")
+    p.add_argument("--format", choices=all_formats, default="plain")
     p.set_defaults(fn=_cmd_character)
 
     p = sub.add_parser("spectral", help="certified kappa spectrum on one weight space")
@@ -586,9 +589,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=plain_json, default="plain")
     p.set_defaults(fn=_cmd_zeta_check)
 
-    p = sub.add_parser("verify", help="run the named oracle checks (default: all)")
+    # no prefix matching here, so that --all is refused instead of being
+    # taken for --allow-inconclusive
+    p = sub.add_parser("verify", help="run the named oracle checks (default: all)",
+                       allow_abbrev=False)
     p.add_argument("--checks", help=f"comma list from: {', '.join(verify.CHECKS)}")
-    p.add_argument("--all", action="store_true", help="run every check (the default)")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--allow-inconclusive", action="store_true")
     p.add_argument("--format", choices=plain_json, default="plain")

@@ -33,7 +33,6 @@ via the ``exact`` flag:
 from __future__ import annotations
 
 import math
-import os
 
 from . import _purekernel
 from ._purekernel import NonUnitPivot
@@ -75,7 +74,7 @@ PRIMES61 = (
 )
 
 
-EXACT_DIM_MAX = int(os.environ.get("CASIMIR_TRACE_EXACT_DIM", "240"))
+EXACT_DIM_MAX = 240
 CERTIFYING_PRIMES = PRIMES61[:3]
 CERTIFYING_MODULUS = math.prod(CERTIFYING_PRIMES)
 

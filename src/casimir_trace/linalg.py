@@ -140,10 +140,5 @@ def mat_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in r[:n]]
 
 
-def mat_sub_scalar(a: list[list[Fraction]], c: Fraction) -> list[list[Fraction]]:
-    n = len(a)
-    return [[a[i][j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def mat_from_int(flat: list[int], n: int) -> list[list[Fraction]]:
     return [[Fraction(flat[i * n + j]) for j in range(n)] for i in range(n)]

@@ -13,9 +13,9 @@ transforms.  The graded-trace driver never builds eigenvectors; algebraic
 multiplicities suffice for traces, so it scales to the large tensor
 products the equality checks need.
 
-Graded traces take one of three routes.  The default, "character", needs
-no matrix.  kappa = C - h^2/2 with C = ef + fe + h^2/2 the Casimir, and C
-acts on every composition factor of a Verma module M_mu by the central
+Graded traces read kappa's spectra off the character; they build no
+matrix.  kappa = C - h^2/2 with C = ef + fe + h^2/2 the Casimir, and C acts
+on every composition factor of a Verma module M_mu by the central
 character mu(mu+2)/2 (L_mu and L_(-mu-2) share it).  Every module here has
 a Verma flag in the Grothendieck group, with signed multiplicity
 n_mu = dim W_mu - dim W_(mu+2), so on the weight-w space kappa has the
@@ -23,15 +23,16 @@ generalized eigenvalue c = (mu(mu+2) - w^2)/2 with multiplicity the sum of
 n_mu over the mu >= w, mu = w (mod 2), that give this c.  That sum is the
 dimension of a generalized eigenspace, so a negative one is an invariant
 violation.  The character of a tensor branch is the product of its atom
-characters.  "spectral" proves those per-branch spectra against the kappa
-matrices (the paper's method, kept as the oracle; see kernel); "whole" does
-the same on the undistributed expression, weight by weight.
+characters.  prove_spectra proves those per-branch spectra against the
+kappa matrices, the paper's method (see kernel): it visits the same branch
+weight spaces that trace_series reads, and the oracle battery runs it
+before every trace it checks.
 
-The cutoff is route-independent: with mu = w + 2j, the flag piece M_mu
-contributes -c/2 = -j^2 - (w+1)j - w/2, which is exactly the parabola that
-_exponent_floor minimizes over 0 <= j <= (top-w)/2.  So the same floor
-bounds every exponent the character produces, and _branch_depth_jobs stops
-each branch at the same depth on every route.
+The cutoff: with mu = w + 2j, the flag piece M_mu contributes
+-c/2 = -j^2 - (w+1)j - w/2, which is exactly the parabola that
+_exponent_floor minimizes over 0 <= j <= (top-w)/2.  So the floor bounds
+every exponent the character produces, and _branch_depth_jobs stops each
+branch at the depth past which no exponent lies below the order.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ from .errors import DomainError, InvariantError, UnsupportedInputError
 from .rep import (
     BranchKey,
     ModuleExpr,
+    branch_dimensions,
     branch_expr,
     format_index,
     kappa_flat,
     tensor_branches,
-    top_weight,
     weight_space,
 )
 from .series import BiSeries, MuPoly, QSeries, Rat, as_frac, exp_str, rat_str
@@ -117,7 +118,7 @@ def _block_size(flat: list[int], n: int, c: int, m: int, exact: bool) -> tuple[i
     raise InvariantError(f"generalized eigenspace of {c} never reached multiplicity {m}")
 
 
-def spectral(expr: ModuleExpr, w: int, want_blocks: bool = True) -> SpectralData:
+def spectral(expr: ModuleExpr, w: int) -> SpectralData:
     """Certified eigenvalue data of kappa on the weight-w space.
 
     Computed branch by branch: tensor products distribute over direct sums
@@ -141,15 +142,14 @@ def spectral(expr: ModuleExpr, w: int, want_blocks: bool = True) -> SpectralData
         flat = None
         for c, m in eigs:
             mults[c] = mults.get(c, 0) + k * m
-            if want_blocks:
-                if m > 1 and flat is None:
-                    flat = kappa_flat(branch_expr(key), w)[1]
-                b, proven = _block_size(flat, n, c, m, branch_exact)
-                blocks[c] = max(blocks.get(c, 0), b)
-                exact = exact and proven
+            if m > 1 and flat is None:
+                flat = kappa_flat(branch_expr(key), w)[1]
+            b, proven = _block_size(flat, n, c, m, branch_exact)
+            blocks[c] = max(blocks.get(c, 0), b)
+            exact = exact and proven
     if not dimension:
         raise DomainError(f"weight space at w={w} is zero")
-    triples = tuple((c, m, blocks.get(c, 0)) for c, m in sorted(mults.items()))
+    triples = tuple((c, m, blocks[c]) for c, m in sorted(mults.items()))
     return SpectralData(weight=w, dimension=dimension, eigen=triples, exact=exact)
 
 
@@ -545,24 +545,12 @@ def _branch_depth_jobs(key: BranchKey, l: int, order: Fraction) -> list[int]:
     return jobs
 
 
-def _validate_exponent(exp_unit: Fraction, floor: Fraction, w, key) -> None:
-    # exp_unit is the l=1 exponent -c/2; the floor scales linearly with l
-    if exp_unit < floor:
-        raise InvariantError(
-            f"cutoff bound violated: branch {key} weight {w} produced exponent "
-            f"slope {exp_unit} < {floor}")
-
-
 def _character_spectra(key: BranchKey, depths: list[int]) -> list[list[tuple[int, int]]]:
     """(eigenvalue, multiplicity) pairs of kappa at each depth, read off the
     branch character (see the module docstring)."""
     top = sum(t[1] for t in key)
     deepest = depths[-1] if depths else 0
-    # convolve the atom characters 1 + t + t^2 + ... (M) and 1 + ... + t^n (L_n)
-    dims = [1] + [0] * deepest
-    for kind, k in key:
-        width = deepest if kind == "M" else k
-        dims = [sum(dims[max(0, d - width) : d + 1]) for d in range(deepest + 1)]
+    dims = branch_dimensions(key, deepest)
     flag = [dims[j] - (dims[j - 1] if j else 0) for j in range(deepest + 1)]
     spectra = []
     for d in depths:
@@ -593,93 +581,77 @@ def _predicted_spectrum(branches: Counter, w: int) -> list[tuple[int, int]]:
     return sorted(total.items())
 
 
-def _check_route(route: str, allowed: tuple[str, ...]) -> None:
-    if route not in allowed:
-        raise DomainError(f"unknown route {route!r}; expected one of {', '.join(allowed)}")
-
-
-def _branch_spectra(expr: ModuleExpr, l: int, order: Fraction, route: str):
-    """Yield (branch, multiplicity, weight, exponent floor, spectrum) for every
-    branch weight space above the cutoff, the spectrum taken by ``route``."""
-    branches = sorted(tensor_branches(expr).items())
-    for key, mult in branches:
+def _branch_terms(expr: ModuleExpr, l: int, order: Fraction):
+    """Yield (weight, exponent, count) for every eigenvalue on every branch
+    weight space above the cutoff, the spectrum read off the character and
+    each exponent checked against the validated floor."""
+    for key, mult in sorted(tensor_branches(expr).items()):
         top = sum(t[1] for t in key)
         depths = _branch_depth_jobs(key, l, order)
-        spectra = _character_spectra(key, depths) if route == "character" else None
-        for i, d in enumerate(depths):
+        for d, eigs in zip(depths, _character_spectra(key, depths)):
             w = top - 2 * d
-            eigs = spectra[i] if spectra is not None else _branch_spectrum(key, w)[0]
-            yield key, mult, w, _exponent_floor(top, w), eigs
+            floor = _exponent_floor(top, w)
+            bound = l * floor  # the floor bounds the l = 1 exponent -c/2
+            for c, m in eigs:
+                e = Fraction(-l * c, 2)
+                if e < bound:
+                    raise InvariantError(
+                        f"cutoff bound violated: branch {key} weight {w} produced exponent "
+                        f"slope {Fraction(-c, 2)} < {floor}")
+                yield w, e, mult * m
 
 
-def trace_series(expr: ModuleExpr, l: int, order: Rat, route: str = "character") -> QSeries:
+def prove_spectra(expr: ModuleExpr, l: int, order: Rat) -> None:
+    """Prove against the kappa matrices every branch spectrum that
+    trace_series(expr, l, order) and trace_deformed read off the character.
+
+    Visits the same (branch, weight) pairs, through the bounded
+    _branch_spectrum cache; raises InvariantError on the first spectrum that
+    kappa contradicts."""
+    if l < 1:
+        raise DomainError(f"loop count must be >= 1, got {l}")
+    order = as_frac(order)
+    for key in sorted(tensor_branches(expr)):
+        top = sum(t[1] for t in key)
+        for d in _branch_depth_jobs(key, l, order):
+            _branch_spectrum(key, top - 2 * d)
+
+
+def trace_series(expr: ModuleExpr, l: int, order: Rat) -> QSeries:
     """Graded monodromy trace: sum over weight spaces of sum_c m_c q^(-lc/2).
 
     Distributes over direct sums and tensor-of-sum structure (an exact
     isomorphism, independent of any conjecture), groups repeated branches,
     and walks each branch down in depth until the validated cutoff bound
-    proves all remaining exponents lie at or beyond ``order``.  ``route``
-    picks where the spectra come from: "character" (default), "spectral"
-    (kappa matrices per branch) or "whole" (kappa matrices of the
-    undistributed expression)."""
+    proves all remaining exponents lie at or beyond ``order``.  The spectra
+    come from the character; prove_spectra proves them against kappa."""
     if l < 1:
         raise DomainError(f"loop count must be >= 1, got {l}")
-    _check_route(route, ("character", "spectral", "whole"))
     order = as_frac(order)
     out: dict[Fraction, Fraction] = {}
-
-    def accumulate(eigs, mult: int, w, floor: Fraction, key) -> None:
-        for c, m in eigs:
-            exp_unit = Fraction(-c, 2)
-            _validate_exponent(exp_unit, floor, w, key)
-            e = l * exp_unit
-            if e < order:
-                out[e] = out.get(e, Fraction(0)) + mult * m
-
-    if route != "whole":
-        for key, mult, w, floor, eigs in _branch_spectra(expr, l, order, route):
-            accumulate(eigs, mult, w, floor, key)
-    else:
-        branches = tensor_branches(expr)
-        top = top_weight(expr)
-        # branch tops of mixed parity populate both weight parities
-        parities = {sum(t[1] for t in key) % 2 for key in branches}
-        step = 1 if len(parities) > 1 else 2
-        w = top
-        while w >= 0 or l * _exponent_floor(top, w) < order:
-            basis = weight_space(expr, w)
-            if basis:
-                n, flat = kappa_flat(expr, w, basis)
-                eigs, _ = kernel.integer_spectrum(flat, n, _predicted_spectrum(branches, w))
-                accumulate(eigs, 1, w, _exponent_floor(top, w), "whole expression")
-            w -= step
+    for _w, e, count in _branch_terms(expr, l, order):
+        if e < order:
+            out[e] = out.get(e, Fraction(0)) + count
     return QSeries(out, order)
 
 
-def trace_deformed(expr: ModuleExpr, l: int, order: Rat, route: str = "character") -> BiSeries:
+def trace_deformed(expr: ModuleExpr, l: int, order: Rat) -> BiSeries:
     """Weight-graded refinement: weight w contributes x^(-l w/2).
 
     Only defined when every populated weight is even and non-positive;
     otherwise the x-grading leaves the allowed lattice and the input is
-    rejected.  ``route`` is "character" (default) or "spectral", as in
-    trace_series."""
+    rejected.  Spectra as in trace_series."""
     if l < 1:
         raise DomainError(f"loop count must be >= 1, got {l}")
-    _check_route(route, ("character", "spectral"))
     order = as_frac(order)
     out: dict[tuple[Fraction, int], Fraction] = {}
-    for key, mult, w, floor, eigs in _branch_spectra(expr, l, order, route):
+    for w, e, count in _branch_terms(expr, l, order):
         if w % 2 or w > 0:
             raise UnsupportedInputError(
                 f"x-grading needs even non-positive weights; found weight {w}")
-        xe = -l * w // 2
-        for c, m in eigs:
-            exp_unit = Fraction(-c, 2)
-            _validate_exponent(exp_unit, floor, w, key)
-            e = l * exp_unit
-            if e < order:
-                ky = (e, xe)
-                out[ky] = out.get(ky, Fraction(0)) + mult * m
+        if e < order:
+            ky = (e, -l * w // 2)
+            out[ky] = out.get(ky, Fraction(0)) + count
     return BiSeries(out, order)
 
 

@@ -156,7 +156,8 @@ def check_table1(l: int = 1, order=40) -> CheckReport:
     name = f"table1[l={l}]"
     covered = f"l={l}, order<{order}, rows L0,M0,Mminus2,P"
     for kind, expr in TABLE1_ROWS:
-        got = monodromy.trace_series(expr, l, order, route="spectral")
+        monodromy.prove_spectra(expr, l, order)
+        got = monodromy.trace_series(expr, l, order)
         want = partial_theta(kind, l, order).at_x_one()
         if not series_eq(got, want, order):
             return CheckReport(
@@ -202,15 +203,16 @@ def _sum_factor(a: int, b: int, g: int = 0) -> rep.ModuleExpr:
 
 
 def _three_routes(expr, alphas, betas, p, l, order) -> str | None:
-    """Pairwise-compare the matrix trace, the Verma-constituent route, and
-    the closed form, and the character trace against the matrix trace;
-    returns a witness string or None."""
-    t_spec = monodromy.trace_series(expr, l, order, route="spectral")
-    t_char = monodromy.trace_series(expr, l, order, route="character")
+    """Pairwise-compare the spectral trace, the Verma-constituent route, and
+    the closed form; returns a witness string or None.  The spectral trace
+    reads kappa's spectra off the character, and prove_spectra first proves
+    each of them against its kappa matrix (raising InvariantError if one
+    fails)."""
+    monodromy.prove_spectra(expr, l, order)
+    t_spec = monodromy.trace_series(expr, l, order)
     t_dec = monodromy.trace_via_decomposition(alphas, betas, p, l, order)
     t_cf = partial_appell_lerch(AppellLerchParams(alphas, betas, p, l), order)
     for la, ra, a, b in (
-        ("spectral", "character", t_spec, t_char),
         ("spectral", "decomposition", t_spec, t_dec),
         ("decomposition", "closed-form", t_dec, t_cf),
         ("spectral", "closed-form", t_spec, t_cf),
@@ -281,7 +283,8 @@ def check_partial_thetas(l: int = 1, order=25) -> CheckReport:
     name = f"partial-thetas[l={l}]"
     covered = f"l={l}, q-order<{order}, all four kinds, bidegree-exact"
     for kind, expr in TABLE1_ROWS:
-        got = monodromy.trace_deformed(expr, l, order, route="spectral")
+        monodromy.prove_spectra(expr, l, order)
+        got = monodromy.trace_deformed(expr, l, order)
         want = partial_theta(kind, l, order)
         if not biseries_eq(got, want, order):
             return CheckReport(
@@ -349,13 +352,16 @@ def conjecture_pair(alphas, betas, gammas) -> tuple[rep.ModuleExpr, rep.ModuleEx
 
 @_timed
 def test_conjecture1(alphas, betas, gammas, l: int = 1, order=25) -> CheckReport:
-    """Exact term comparison of trace_series over F and F' below ``order``."""
+    """Exact term comparison of trace_series over F and F' below ``order``,
+    every branch spectrum of both proven against kappa first."""
     alphas, betas, gammas = tuple(alphas), tuple(betas), tuple(gammas)
     name = "conjecture1"
     covered = f"alphas={list(alphas)} betas={list(betas)} gammas={list(gammas)} l={l} order<{order}"
     f, fp = conjecture_pair(alphas, betas, gammas)
-    a = monodromy.trace_series(f, l, order, route="spectral")
-    b = monodromy.trace_series(fp, l, order, route="spectral")
+    monodromy.prove_spectra(f, l, order)
+    monodromy.prove_spectra(fp, l, order)
+    a = monodromy.trace_series(f, l, order)
+    b = monodromy.trace_series(fp, l, order)
     if not series_eq(a, b, order):
         return CheckReport(
             name, "fail", covered,

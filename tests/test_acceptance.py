@@ -163,7 +163,7 @@ def _family_mu_free_trace(rng) -> str | None:
     l = rng.randint(1, 3)
     m = monodromy.monodromy_matrix(expr, w, l)
     tr = m.trace()  # raises InvariantError on any mu term
-    sd = monodromy.spectral(expr, w, want_blocks=False)
+    sd = monodromy.spectral(expr, w)
     expected = monodromy.QMu(
         {Fraction(-l * c, 2): MuPoly((mult,)) for c, mult, *_ in sd.eigen})
     if tr != expected:

@@ -252,6 +252,26 @@ def test_character_plain():
     assert "0\t1" in out and "-2\t2" in out
 
 
+def test_character_lists_both_parities():
+    # branch tops 0 and 1: every weight from 1 down to 1 - 2*2 is populated
+    code, out, _ = run(["character", "--rep", "M0 + M1", "--order", "2"])
+    assert code == 0
+    assert out.splitlines() == ["# weight-space dimensions, top 3 layers",
+                                "1\t1", "0\t1", "-1\t1", "-2\t1", "-3\t1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--all"], "unrecognized arguments: --all"),   # not --allow-inconclusive
+    (["character", "--rep", "P", "--loops", "7"], "unrecognized arguments: --loops 7"),
+    (["character", "--rep", "P", "--order", "7/2"], "invalid int value: '7/2'"),
+])
+def test_removed_flags_are_refused(argv, message):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_module_entry_point_runs_once():
     # importing the package must not load the cli module ahead of runpy
     src = Path(__file__).resolve().parents[1] / "src"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from casimir_trace import kernel, monodromy, rep
 from casimir_trace.cli import parse_rep
-from casimir_trace.errors import DomainError, UnsupportedInputError
+from casimir_trace.errors import DomainError, InvariantError, UnsupportedInputError
 from casimir_trace.monodromy import (
     flat_sections,
     jordan_2x2,
@@ -69,17 +69,17 @@ def test_trace_half_integer_exponents():
 
 def test_trace_distribute_agreement():
     expr = rep.Tensor((rep.DirectSum((M0, Mm2)), P))
-    a = trace_series(expr, 1, F(12), route="spectral")
-    b = trace_series(expr, 1, F(12), route="whole")
+    a = trace_series(expr, 1, F(12))
+    b = _whole_kappa_trace(expr, 1, F(12))
     assert series_eq(a, b, F(12))
 
 
 def test_trace_mixed_parity_sum():
     # direct sum with odd and even tops together
     expr = rep.DirectSum((M0, rep.Verma(-1)))
-    got = trace_series(expr, 1, F(4), route="whole")
     want = trace_series(M0, 1, F(4)) + trace_series(rep.Verma(-1), 1, F(4))
-    assert series_eq(got, want, F(4))
+    assert series_eq(_whole_kappa_trace(expr, 1, F(4)), want, F(4))
+    assert series_eq(trace_series(expr, 1, F(4)), want, F(4))
 
 
 def test_trace_q_to_ql():
@@ -94,31 +94,9 @@ def test_trace_rejects_bad_loops():
         trace_series(M0, 0, F(5))
 
 
-def test_trace_rejects_unknown_route():
-    with pytest.raises(DomainError):
-        trace_series(M0, 1, F(5), route="matrix")
-    with pytest.raises(DomainError):
-        trace_deformed(M0, 1, F(5), route="whole")
-
-
 def test_branch_spectrum_cache_is_bounded():
     maxsize = monodromy._branch_spectrum.cache_info().maxsize
     assert maxsize is not None and maxsize >= 1000
-
-
-def _deformed_or_unsupported(expr, l, order, route):
-    try:
-        return trace_deformed(expr, l, order, route=route)
-    except UnsupportedInputError:
-        return "unsupported"
-
-
-def _assert_routes_agree(expr, l, order):
-    want = trace_series(expr, l, order, route="spectral")
-    got = trace_series(expr, l, order, route="character")
-    assert got.order == want.order and got.items() == want.items()
-    want_d = _deformed_or_unsupported(expr, l, order, "spectral")
-    assert _deformed_or_unsupported(expr, l, order, "character") == want_d
 
 
 @pytest.mark.parametrize("text, l, order", [
@@ -130,7 +108,8 @@ def _assert_routes_agree(expr, l, order):
     ("P x M-4", 2, F(8)),
 ])
 def test_character_route_matches_spectral_named(text, l, order):
-    _assert_routes_agree(parse_rep(text), l, order)
+    # every branch spectrum the trace reads off the character is kappa's
+    monodromy.prove_spectra(parse_rep(text), l, order)
 
 
 ATOM = st.one_of(st.integers(-4, 3).map(rep.Verma), st.integers(0, 3).map(rep.Irr),
@@ -147,7 +126,7 @@ EXPR = st.one_of(TENSOR, st.lists(TENSOR, min_size=2, max_size=2).map(
 
 
 def _largest_space(expr, l, order) -> int:
-    """Largest branch weight space the spectral route factors: its cost."""
+    """Largest branch weight space prove_spectra factors: its cost."""
     largest = 0
     for key in rep.tensor_branches(expr):
         depths = monodromy._branch_depth_jobs(key, l, order)
@@ -161,7 +140,58 @@ def _largest_space(expr, l, order) -> int:
 @settings(max_examples=200, deadline=None)
 def test_character_route_matches_spectral(expr, l, order):
     assume(_largest_space(expr, l, order) <= 66)
-    _assert_routes_agree(expr, l, order)
+    monodromy.prove_spectra(expr, l, order)
+
+
+@given(EXPR, st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_character_counts_weight_spaces(expr, depth):
+    top = rep.top_weight(expr)
+    ch = rep.character(expr, depth)
+    weights = range(top - 2 * depth, top + 1)
+    assert set(ch) <= set(weights) and all(ch.values())
+    for w in weights:
+        assert ch.get(w, 0) == len(rep.weight_space(expr, w))
+
+
+@pytest.mark.parametrize("text, l, order", [
+    ("M3 + L2 x P", 1, F(8)),
+    ("(M0 + M-2)^2 x P", 2, F(15, 2)),
+])
+def test_prove_spectra_visits_what_the_trace_reads(text, l, order, monkeypatch):
+    expr = parse_rep(text)
+    read, proven = set(), set()
+    character_spectra = monodromy._character_spectra
+
+    def reading(key, depths):
+        top = sum(t[1] for t in key)
+        read.update((key, top - 2 * d) for d in depths)
+        return character_spectra(key, depths)
+
+    monkeypatch.setattr(monodromy, "_character_spectra", reading)
+    trace_series(expr, l, order)
+    read_by_trace = set(read)
+    monkeypatch.setattr(monodromy, "_branch_spectrum", lambda key, w: proven.add((key, w)))
+    monodromy.prove_spectra(expr, l, order)
+    # the walk itself reads no character; each proof predicts its own
+    assert read == read_by_trace
+    assert proven == read and read
+
+
+def test_prove_spectra_rejects_a_wrong_character(monkeypatch):
+    character_spectra = monodromy._character_spectra
+
+    def shifted(key, depths):
+        spectra = character_spectra(key, depths)
+        return [[(c + 2, m) for c, m in s] for s in spectra]
+
+    monodromy._branch_spectrum.cache_clear()
+    monkeypatch.setattr(monodromy, "_character_spectra", shifted)
+    try:
+        with pytest.raises(InvariantError):
+            monodromy.prove_spectra(rep.Tensor((M0, P)), 1, F(6))
+    finally:
+        monodromy._branch_spectrum.cache_clear()
 
 
 def test_spectral_is_not_exact_when_blocks_come_from_the_certificate():
@@ -172,7 +202,8 @@ def test_spectral_is_not_exact_when_blocks_come_from_the_certificate():
     assert sd.dimension == 102 > monodromy.EXACT_BLOCKS_MAX
     assert sd.eigen[0] == (-50, 6, 2)
     assert not sd.exact
-    assert spectral(rep.Tensor((P, P, P)), -10, want_blocks=False).exact
+    (key,) = rep.tensor_branches(rep.Tensor((P, P, P)))
+    assert monodromy._branch_spectrum(key, -10)[1]
 
 
 def test_spectral_sums_branches():
@@ -186,17 +217,42 @@ def test_spectral_sums_branches():
         spectral(parse_rep("M0 + M-2"), 1)
 
 
-def _whole_kappa_spectral(expr, w):
-    """SpectralData from kappa on the undistributed expression."""
+def _whole_kappa_spectrum(expr, w):
+    """kappa on the undistributed expression, with its spectrum proven
+    against the character's prediction: (n, entries, spectrum, exact)."""
     n, flat = rep.kappa_flat(expr, w)
     predicted = monodromy._predicted_spectrum(rep.tensor_branches(expr), w)
     eigs, exact = kernel.integer_spectrum(flat, n, predicted)
+    return n, flat, eigs, exact
+
+
+def _whole_kappa_spectral(expr, w):
+    """SpectralData from kappa on the undistributed expression."""
+    n, flat, eigs, exact = _whole_kappa_spectrum(expr, w)
     triples = []
     for c, m in eigs:
         b, proven = monodromy._block_size(flat, n, c, m, exact)
         triples.append((c, m, b))
         exact = exact and proven
     return n, tuple(triples), exact
+
+
+def _whole_kappa_trace(expr, l, order):
+    """Graded trace summed from the proven kappa spectra of the undistributed
+    expression, weight by weight in steps of 1, down to trace_series's
+    cutoff."""
+    top = rep.top_weight(expr)
+    out = {}
+    w = top
+    while w >= 0 or l * monodromy._exponent_floor(top, w) < order:
+        if rep.weight_space(expr, w):
+            for c, m in _whole_kappa_spectrum(expr, w)[2]:
+                assert F(-c, 2) >= monodromy._exponent_floor(top, w)
+                e = F(-l * c, 2)
+                if e < order:
+                    out[e] = out.get(e, F(0)) + m
+        w -= 1
+    return QSeries(out, order)
 
 
 @given(EXPR, st.integers(0, 12))
