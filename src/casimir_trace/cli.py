@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -330,7 +331,12 @@ def _cmd_character(args) -> int:
         for w, d in sorted(ch.items(), reverse=True):
             sys.stdout.write(f"{w},{d}\n")
     else:
-        sys.stdout.write(f"# weight-space dimensions, top {args.order + 1} layers\n")
+        top = rep.top_weight(expr)
+        if len({w % 2 for w in ch}) > 1:  # branch tops of both parities
+            layers = f"weights {top} down to {top - 2 * args.order}"
+        else:
+            layers = f"top {args.order + 1} layers"
+        sys.stdout.write(f"# weight-space dimensions, {layers}\n")
         for w, d in sorted(ch.items(), reverse=True):
             sys.stdout.write(f"{w}\t{d}\n")
     return 0
@@ -494,22 +500,26 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    # no prefix matching anywhere, so that an option removed later is refused
+    # instead of being taken for one it prefixes (verify --all is not
+    # --allow-inconclusive)
+    parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    top = parser(
         prog="casimir-trace",
         description="Exact monodromy traces of the Casimir connection and their closed forms")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=parser)
 
     # each subcommand offers only the formats it prints
     plain_json = ("plain", "json")
     all_formats = plain_json + ("csv",)
 
-    def common(p, rep_required=True, weight=False, formats=all_formats):
-        if rep_required:
-            p.add_argument("--rep", required=True, help="module expression, e.g. '(M0 + M-2)^2 x P'")
-        p.add_argument("--loops", type=int, default=1, help="loop count l >= 1 (default 1)")
-        p.add_argument("--order", default="20", help="series order N (rational, default 20)")
+    def common(p, weight=False, formats=all_formats):
+        p.add_argument("--rep", required=True, help="module expression, e.g. '(M0 + M-2)^2 x P'")
         if weight:
             p.add_argument("--weight", type=int, required=True, help="weight of the target space")
+        else:
+            p.add_argument("--loops", type=int, default=1, help="loop count l >= 1 (default 1)")
+            p.add_argument("--order", default="20", help="series order N (rational, default 20)")
         p.add_argument("--format", choices=formats, default="plain")
 
     p = sub.add_parser("trace", help="graded monodromy trace of a module expression")
@@ -589,10 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=plain_json, default="plain")
     p.set_defaults(fn=_cmd_zeta_check)
 
-    # no prefix matching here, so that --all is refused instead of being
-    # taken for --allow-inconclusive
-    p = sub.add_parser("verify", help="run the named oracle checks (default: all)",
-                       allow_abbrev=False)
+    p = sub.add_parser("verify", help="run the named oracle checks (default: all)")
     p.add_argument("--checks", help=f"comma list from: {', '.join(verify.CHECKS)}")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--allow-inconclusive", action="store_true")

@@ -138,7 +138,3 @@ def mat_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
     if pivots[:n] != list(range(n)):
         raise InvariantError("matrix is singular; no inverse")
     return [row[n:] for row in r[:n]]
-
-
-def mat_from_int(flat: list[int], n: int) -> list[list[Fraction]]:
-    return [[Fraction(flat[i * n + j]) for j in range(n)] for i in range(n)]

@@ -8,8 +8,8 @@ each nilpotent part enters polynomially in mu.  Traces are mu-free and,
 summed over weight spaces, give the q-series the closed forms predict.
 
 Everything is exact: integer kappa matrices, integer spectra predicted by
-the character and proven against them (see kernel), Fraction similarity
-transforms.  The graded-trace driver never builds eigenvectors; algebraic
+the character and proven against them (see kernel), exact nullspaces.
+The graded-trace driver never builds eigenvectors; algebraic
 multiplicities suffice for traces, so it scales to the large tensor
 products the equality checks need.
 
@@ -160,30 +160,51 @@ def spectral(expr: ModuleExpr, w: int) -> SpectralData:
 
 @dataclass(frozen=True)
 class _Components:
-    """S-conjugated spectral decomposition of one kappa weight-space matrix.
+    """Spectral decomposition of one kappa weight-space matrix.
 
-    terms: (c, j, A_cj) with A_cj = S E_c N_c^j S^-1 in the canonical basis;
-    A_c0 is the projection onto the generalized c-eigenspace and
-    A_c(j+1) = N_glob,c A_cj."""
+    terms: (c, j, A_cj) with A_c0 the projection onto the generalized
+    c-eigenspace and A_cj = (kappa - c)^j A_c0, in the canonical basis."""
 
-    dimension: int
+    kappa: tuple[tuple[int, ...], ...]
     terms: tuple[tuple[int, int, tuple[tuple[Fraction, ...], ...]], ...]
     blocks: tuple[tuple[int, int, int], ...]  # (c, mult, max block)
 
+    @property
+    def dimension(self) -> int:
+        return len(self.kappa)
 
-def _freeze(mat: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in mat)
+
+def _outer_sum(cols: list[list[Fraction]], rows: list[list[Fraction]], n: int):
+    """sum_b cols[b] (x) rows[b] as a frozen n x n matrix."""
+    out = []
+    for i in range(n):
+        row = [Fraction(0)] * n
+        for col, r in zip(cols, rows):
+            x = col[i]
+            if x:
+                for k in range(n):
+                    if r[k]:
+                        row[k] += x * r[k]
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def spectral_components(expr: ModuleExpr, w: int) -> tuple[list, _Components]:
-    """Exact decomposition kappa = sum_c (c A_c0 + nilpotent chain).
+    """Exact decomposition kappa = sum_c (c A_c0 + A_c1), proven over Q at
+    any size by exact nullspaces alone.
 
-    Proven over Q regardless of matrix size: the generalized eigenspaces
-    are computed by exact nullspaces and must exhaust the space."""
+    For each pair (c, m) the character predicts, some s <= m must give m
+    independent vectors in null((kappa - c)^s).  Generalized eigenspaces of
+    distinct c are independent, so once the m add up to n = dim (the vectors
+    fill the space and the projections A_c0, each built from m of them, sum
+    to the identity), each has dimension exactly m and kappa has no other
+    eigenvalue.  With s_b, r_b the c-block's columns of S (those vectors)
+    and rows of S^-1, A_cj = sum_b ((kappa - c)^j s_b) (x) r_b, and the
+    columns must vanish exactly at the nullspace index."""
     basis = weight_space(expr, w)
     n, flat = kappa_flat(expr, w, basis)
-    eigs, _exact = kernel.integer_spectrum(flat, n, _predicted_spectrum(tensor_branches(expr), w))
-    a_frac = linalg.mat_from_int(flat, n)
+    kappa = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+    eigs = _predicted_spectrum(tensor_branches(expr), w)
     columns: list[list[Fraction]] = []
     spans: list[tuple[int, int, int, int]] = []  # (c, start, size, chain length)
     for c, m in eigs:
@@ -192,66 +213,34 @@ def spectral_components(expr: ModuleExpr, w: int) -> tuple[list, _Components]:
         while len(vecs) < m:
             s += 1
             if s > m:
-                raise UnsupportedInputError(
+                raise InvariantError(
                     f"eigenvalue {c} has defect: nullspaces stop short of multiplicity {m}")
             power = _int_matpow_minus_c(flat, n, c, s)
             vecs = linalg.nullspace([[Fraction(x) for x in row] for row in power], n)
         spans.append((c, len(columns), m, s))
         columns.extend(vecs)
     if len(columns) != n:
-        raise UnsupportedInputError("generalized eigenspaces do not span; spectrum not integral")
-    s_mat = [[columns[j][i] for j in range(n)] for i in range(n)]
-    s_inv = linalg.mat_inverse(s_mat)
-    d_mat = linalg.mat_mul(s_inv, linalg.mat_mul(a_frac, s_mat))
+        raise InvariantError(
+            "generalized eigenspaces do not span; the predicted spectrum is wrong")
+    s_inv = linalg.mat_inverse([[columns[j][i] for j in range(n)] for i in range(n)])
+    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in kappa]
     terms = []
-    blocks = []
     for c, start, size, chain in spans:
-        # the conjugated matrix must vanish outside the diagonal blocks
-        for i in range(n):
-            for j in range(start, start + size):
-                if (i < start or i >= start + size) and d_mat[i][j]:
-                    raise InvariantError("similarity transform did not block-diagonalize kappa")
-        nil = [
-            [d_mat[start + i][start + j] - (c if i == j else 0) for j in range(size)]
-            for i in range(size)
-        ]
-        power = linalg.mat_identity(size)
-        j = 0
-        while True:
-            # A_cj = S (0 .. power .. 0) S^-1, assembled without full products
-            acj = [[Fraction(0)] * n for _ in range(n)]
-            for col in range(n):
-                # w = embed(power) @ (S^-1 e_col)
-                for bi in range(size):
-                    acc = Fraction(0)
-                    for bj in range(size):
-                        if power[bi][bj]:
-                            acc += power[bi][bj] * s_inv[start + bj][col]
-                    if acc:
-                        for row in range(n):
-                            if s_mat[row][start + bi]:
-                                acj[row][col] += s_mat[row][start + bi] * acc
-            if any(any(row) for row in acj):
-                terms.append((c, j, _freeze(acj)))
-            else:
-                break
-            power = linalg.mat_mul(nil, power)
-            j += 1
-            if j > size:
-                raise InvariantError(f"nilpotent part of eigenvalue {c} fails to vanish")
-        blocks.append((c, size, chain))
-    comp = _Components(dimension=n, terms=tuple(terms), blocks=tuple(blocks))
-    # completeness: projections must sum to the identity
-    ident = linalg.mat_identity(n)
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for c, j, mat in comp.terms:
-        if j == 0:
-            for i in range(n):
-                for k in range(n):
-                    total[i][k] += mat[i][k]
-    if total != ident:
+        cols, rows = columns[start : start + size], s_inv[start : start + size]
+        for j in range(chain):
+            terms.append((c, j, _outer_sum(cols, rows, n)))
+            last = cols
+            cols = [[sum(x * v[k] for k, x in sparse[i]) - c * v[i] for i in range(n)]
+                    for v in cols]
+        if any(map(any, cols)) or not any(map(any, last)):
+            raise InvariantError(
+                f"(kappa - {c})^j does not vanish exactly at the nullspace index {chain}")
+    projections = [mat for _c, j, mat in terms if j == 0]
+    total = [[sum(p[i][k] for p in projections) for k in range(n)] for i in range(n)]
+    if total != linalg.mat_identity(n):
         raise InvariantError("spectral projections do not sum to the identity")
-    return basis, comp
+    blocks = tuple((c, size, chain) for c, _start, size, chain in spans)
+    return basis, _Components(kappa=kappa, terms=tuple(terms), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +481,8 @@ class FlatSectionExpr:
 
 def flat_sections(expr: ModuleExpr, w: int) -> FlatSectionExpr:
     basis, comp = spectral_components(expr, w)
-    n, flat = kappa_flat(expr, w, basis)
-    rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
     labels = tuple(format_index(expr, idx) for idx in basis)
-    fs = FlatSectionExpr(weight=w, labels=labels, terms=comp.terms, kappa=rows)
+    fs = FlatSectionExpr(weight=w, labels=labels, terms=comp.terms, kappa=comp.kappa)
     if not fs.check_ode():
         raise InvariantError("flat section fails its defining ODE")
     return fs

@@ -256,7 +256,7 @@ def test_character_lists_both_parities():
     # branch tops 0 and 1: every weight from 1 down to 1 - 2*2 is populated
     code, out, _ = run(["character", "--rep", "M0 + M1", "--order", "2"])
     assert code == 0
-    assert out.splitlines() == ["# weight-space dimensions, top 3 layers",
+    assert out.splitlines() == ["# weight-space dimensions, weights 1 down to -3",
                                 "1\t1", "0\t1", "-1\t1", "-2\t1", "-3\t1"]
 
 
@@ -264,6 +264,13 @@ def test_character_lists_both_parities():
     (["verify", "--all"], "unrecognized arguments: --all"),   # not --allow-inconclusive
     (["character", "--rep", "P", "--loops", "7"], "unrecognized arguments: --loops 7"),
     (["character", "--rep", "P", "--order", "7/2"], "invalid int value: '7/2'"),
+    (["zeta-check", "--allow"], "unrecognized arguments: --allow"),  # no prefix matching
+    (["spectral", "--rep", "P", "--weight", "-2", "--loops", "2"],
+     "unrecognized arguments: --loops 2"),
+    (["jordan", "--rep", "P", "--weight", "-2", "--order", "5"],
+     "unrecognized arguments: --order 5"),
+    (["flat-section", "--rep", "P", "--weight", "-2", "--loops", "2", "--order", "5"],
+     "unrecognized arguments: --loops 2 --order 5"),
 ])
 def test_removed_flags_are_refused(argv, message):
     code, out, err = run(argv)

@@ -381,6 +381,53 @@ def test_spectral_components_block_structure():
     assert got == [(-8, 2), (-4, 1)]
 
 
+@pytest.mark.parametrize("wrong", [
+    [(-6, 2), (-4, 1)],  # one eigenvalue shifted
+    [(-8, 1), (-4, 2)],  # multiplicities swapped
+    [(-8, 3)],           # two eigenvalues merged
+    [(-8, 2)],           # one eigenvalue dropped
+    [(-8, 1), (-4, 1)],  # a multiplicity short, though the nullspaces fill the space
+])
+def test_spectral_components_rejects_a_wrong_prediction(wrong, monkeypatch):
+    expr = rep.Tensor((M0, M0))
+    assert monodromy._predicted_spectrum(rep.tensor_branches(expr), -4) == [(-8, 2), (-4, 1)]
+    monkeypatch.setattr(monodromy, "_predicted_spectrum", lambda branches, w: wrong)
+    with pytest.raises(InvariantError):
+        spectral_components(expr, -4)
+
+
+def _mul(a, b):
+    return [[sum(a[i][t] * b[t][k] for t in range(len(b))) for k in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+@given(EXPR, st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_spectral_components_decompose_kappa(expr, depth):
+    w = rep.top_weight(expr) - depth
+    assume(0 < len(rep.weight_space(expr, w)) <= 12)
+    _basis, comp = spectral_components(expr, w)
+    kappa = rep.kappa_matrix(expr, w).entries
+    n = len(kappa)
+    assert comp.kappa == kappa and comp.dimension == n
+    table = {(c, j): mat for c, j, mat in comp.terms}
+    zero = [[0] * n for _ in range(n)]
+    # kappa = sum_c (c A_c0 + A_c1)
+    total = [[sum(c * table[c, 0][i][k] + table.get((c, 1), zero)[i][k]
+                  for c, _m, _b in comp.blocks) for k in range(n)] for i in range(n)]
+    assert total == [list(row) for row in kappa]
+    # the A_c0 are orthogonal idempotents
+    for c, _m, _b in comp.blocks:
+        for c2, _m2, _b2 in comp.blocks:
+            want = table[c, 0] if c == c2 else zero
+            assert _mul(table[c, 0], table[c2, 0]) == [list(row) for row in want]
+    # A_c(j+1) = (kappa - c) A_cj, down to zero past the last term
+    for (c, j), mat in table.items():
+        shifted = [[kappa[i][k] - (c if i == k else 0) for k in range(n)] for i in range(n)]
+        want = table.get((c, j + 1), zero)
+        assert _mul(shifted, mat) == [list(row) for row in want]
+
+
 @given(st.sampled_from([M0, Mm2, P, rep.Tensor((M0, Mm2)), rep.Tensor((P, Irr := rep.Irr(1)))]),
        st.integers(min_value=1, max_value=3),
        st.integers(min_value=1, max_value=3))
