@@ -2,8 +2,11 @@
 
 Only what the representation and monodromy layers need: fraction-free
 integer rank, reduced echelon form, nullspaces, inverses, and dense
-matrix products over Fraction.  Sizes here are modest (the heavy modular
-work lives in the modular kernel), so clarity beats micro-optimization.
+matrix products over Fraction.  Matrices are stored dense but are mostly
+zero (kappa and its powers, and the identity block of an inverse), so
+rref and mat_mul spend Fraction arithmetic only on nonzero entries:
+elimination runs over the pivot row's support.  The heavy modular work
+lives in the modular kernel.
 """
 
 from __future__ import annotations
@@ -77,12 +80,21 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
+        prow = m[row]
+        # rows at and below `row` vanish left of col, so the pivot row's
+        # support lies in [col, ncols); zero entries need no arithmetic
+        inv = 1 / prow[col]
+        support = []
+        for c in range(col, ncols):
+            if prow[c]:
+                prow[c] *= inv
+                support.append((c, prow[c]))
         for r in range(nrows):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+            other = m[r]
+            factor = other[col]
+            if r != row and factor:
+                for c, x in support:
+                    other[c] -= factor * x
         pivots.append(col)
         row += 1
         if row == nrows:

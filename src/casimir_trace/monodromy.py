@@ -13,6 +13,11 @@ The graded-trace driver never builds eigenvectors; algebraic
 multiplicities suffice for traces, so it scales to the large tensor
 products the equality checks need.
 
+Monodromy matrices and flat sections share one exact decomposition of
+kappa per weight space, spectral_components.  It is cached in a bounded
+LRU (a handful of entries: callers ask for the same space back to back),
+and it refuses spaces above COMPONENTS_DIM_MAX before building a matrix.
+
 Graded traces read kappa's spectra off the character; they build no
 matrix.  kappa = C - h^2/2 with C = ef + fe + h^2/2 the Casimir, and C acts
 on every composition factor of a Verma module M_mu by the central
@@ -42,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from . import kernel, linalg
 from .closed_forms import AppellLerchParams
@@ -87,15 +93,17 @@ class SpectralData:
 EXACT_BLOCKS_MAX = 80  # above this, block sizes come from the modular certificate
 
 
-def _int_matpow_minus_c(flat: list[int], n: int, c: int, s: int) -> list[list[int]]:
+def _int_powers_minus_c(flat: list[int], n: int, c: int) -> Iterator[list[list[int]]]:
+    """(kappa - c)^s for s = 1, 2, ...: each power is the one before times
+    (kappa - c), computed only when the next one is asked for."""
     base = [[flat[i * n + j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
     power = base
-    for _ in range(s - 1):
+    while True:
+        yield power
         power = [
             [sum(power[i][k] * base[k][j] for k in range(n) if power[i][k]) for j in range(n)]
             for i in range(n)
         ]
-    return power
 
 
 def _block_size(flat: list[int], n: int, c: int, m: int, exact: bool) -> tuple[int, bool]:
@@ -104,8 +112,7 @@ def _block_size(flat: list[int], n: int, c: int, m: int, exact: bool) -> tuple[i
     if m == 1:
         return 1, True
     if exact and n <= EXACT_BLOCKS_MAX:
-        for s in range(1, m + 1):
-            power = _int_matpow_minus_c(flat, n, c, s)
+        for s, power in zip(range(1, m + 1), _int_powers_minus_c(flat, n, c)):
             if n - linalg.rank_int(power, n) == m:
                 return s, True
         raise InvariantError(f"generalized eigenspace of {c} never reached multiplicity {m}")
@@ -189,7 +196,18 @@ def _outer_sum(cols: list[list[Fraction]], rows: list[list[Fraction]], n: int):
     return tuple(out)
 
 
-def spectral_components(expr: ModuleExpr, w: int) -> tuple[list, _Components]:
+# Largest weight space spectral_components decomposes.  The cost depends on
+# the number of distinct eigenvalues as well as the dimension: on a 2-vCPU
+# VM flat_sections takes 12 s on P x P at n = 72 (18 eigenvalues) and 6 s
+# on P x P x P at n = 66 (4 eigenvalues).
+COMPONENTS_DIM_MAX = 72
+
+
+# monodromy_matrix at several loop counts and flat_sections ask for the same
+# (expr, w) back to back, so a few entries catch every repeat.  One entry
+# holds 0.12 MB at n = 12, 0.39 MB at n = 38 and 6.5 MB at n = 60 (P x P).
+@lru_cache(maxsize=4)
+def spectral_components(expr: ModuleExpr, w: int) -> tuple[tuple, _Components]:
     """Exact decomposition kappa = sum_c (c A_c0 + A_c1), proven over Q at
     any size by exact nullspaces alone.
 
@@ -200,23 +218,30 @@ def spectral_components(expr: ModuleExpr, w: int) -> tuple[list, _Components]:
     to the identity), each has dimension exactly m and kappa has no other
     eigenvalue.  With s_b, r_b the c-block's columns of S (those vectors)
     and rows of S^-1, A_cj = sum_b ((kappa - c)^j s_b) (x) r_b, and the
-    columns must vanish exactly at the nullspace index."""
+    columns must vanish exactly at the nullspace index.
+
+    Spaces above COMPONENTS_DIM_MAX, by the character's dimension, are
+    refused before any matrix is built.  Results are cached (bounded), so
+    the basis comes back as a tuple and every part of it is immutable."""
+    eigs = _predicted_spectrum(tensor_branches(expr), w)
+    predicted = sum(m for _c, m in eigs)
+    if predicted > COMPONENTS_DIM_MAX:
+        raise UnsupportedInputError(
+            f"weight space at w={w} has dimension {predicted}; exact monodromy and "
+            f"flat sections are limited to dimension {COMPONENTS_DIM_MAX}")
     basis = weight_space(expr, w)
     n, flat = kappa_flat(expr, w, basis)
     kappa = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-    eigs = _predicted_spectrum(tensor_branches(expr), w)
     columns: list[list[Fraction]] = []
     spans: list[tuple[int, int, int, int]] = []  # (c, start, size, chain length)
     for c, m in eigs:
-        vecs: list[list[Fraction]] = []
-        s = 0
-        while len(vecs) < m:
-            s += 1
-            if s > m:
-                raise InvariantError(
-                    f"eigenvalue {c} has defect: nullspaces stop short of multiplicity {m}")
-            power = _int_matpow_minus_c(flat, n, c, s)
+        for s, power in zip(range(1, m + 1), _int_powers_minus_c(flat, n, c)):
             vecs = linalg.nullspace([[Fraction(x) for x in row] for row in power], n)
+            if len(vecs) >= m:
+                break
+        else:
+            raise InvariantError(
+                f"eigenvalue {c} has defect: nullspaces stop short of multiplicity {m}")
         spans.append((c, len(columns), m, s))
         columns.extend(vecs)
     if len(columns) != n:
@@ -240,7 +265,7 @@ def spectral_components(expr: ModuleExpr, w: int) -> tuple[list, _Components]:
     if total != linalg.mat_identity(n):
         raise InvariantError("spectral projections do not sum to the identity")
     blocks = tuple((c, size, chain) for c, _start, size, chain in spans)
-    return basis, _Components(kappa=kappa, terms=tuple(terms), blocks=blocks)
+    return tuple(basis), _Components(kappa=kappa, terms=tuple(terms), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

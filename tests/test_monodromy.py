@@ -391,9 +391,55 @@ def test_spectral_components_block_structure():
 def test_spectral_components_rejects_a_wrong_prediction(wrong, monkeypatch):
     expr = rep.Tensor((M0, M0))
     assert monodromy._predicted_spectrum(rep.tensor_branches(expr), -4) == [(-8, 2), (-4, 1)]
+    # an earlier test may have cached this space, which would skip the prediction
+    spectral_components.cache_clear()
     monkeypatch.setattr(monodromy, "_predicted_spectrum", lambda branches, w: wrong)
-    with pytest.raises(InvariantError):
-        spectral_components(expr, -4)
+    try:
+        with pytest.raises(InvariantError):
+            spectral_components(expr, -4)
+    finally:
+        spectral_components.cache_clear()
+
+
+def test_spectral_components_cache_returns_what_a_cold_call_does():
+    spaces = [(P, -6), (rep.Tensor((M0, M0)), -4), (rep.Tensor((M0, P)), -6),
+              (rep.DirectSum((M0, rep.Verma(-1))), -3)]
+
+    def outputs(expr, w, cold):
+        out = []
+        for l in (1, 2, 3, None):  # None: the flat section
+            if cold:
+                spectral_components.cache_clear()
+            got = flat_sections(expr, w) if l is None else monodromy_matrix(expr, w, l)
+            out.append(got.to_obj())
+        return out
+
+    for expr, w in spaces:
+        cold = outputs(expr, w, cold=True)
+        spectral_components.cache_clear()
+        assert outputs(expr, w, cold=False) == cold
+        info = spectral_components.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+    basis, comp = spectral_components(P, -6)
+    assert isinstance(basis, tuple) and isinstance(comp.terms, tuple)
+    assert 0 < spectral_components.cache_info().maxsize <= 16
+
+
+def test_spectral_components_refuses_a_space_above_the_budget(monkeypatch):
+    # M0 x P has dimension 2k + 1 at weight -2k: one above the budget here
+    expr, w = rep.Tensor((M0, P)), -monodromy.COMPONENTS_DIM_MAX
+    n = sum(m for _c, m in monodromy._predicted_spectrum(rep.tensor_branches(expr), w))
+    assert n == monodromy.COMPONENTS_DIM_MAX + 1
+
+    def no_matrix(*args):
+        raise AssertionError("the refusal must come before any matrix is built")
+
+    monkeypatch.setattr(monodromy, "weight_space", no_matrix)
+    monkeypatch.setattr(monodromy, "kappa_flat", no_matrix)
+    with pytest.raises(UnsupportedInputError, match="limited to dimension"):
+        flat_sections(expr, w)
+    with pytest.raises(UnsupportedInputError):
+        monodromy_matrix(expr, w, 1)
 
 
 def _mul(a, b):
