@@ -1,5 +1,11 @@
 """Certified integer spectra on top of one modular kernel (_purekernel).
 
+The program's spectra of kappa are proven by the Verma-flag walk in
+monodromy, with no prime.  Two uses remain here: nullity_mod gives the
+Jordan block sizes of spaces above monodromy.EXACT_BLOCKS_MAX, and
+integer_spectrum is the independent reference the tests prove the walk
+against.
+
 One modulus, many primes: Z/M is isomorphic to the product of the Z/p_i for
 M = p_1 ... p_k, so a single Hessenberg reduction or elimination modulo M
 yields every residue at once, as long as every pivot is a unit modulo M.
@@ -9,7 +15,7 @@ per-prime computation is just the fully split case.  Every pivot used is a
 unit modulo each prime, so each residue is the one a per-prime run gives.
 
 The spectrum is never searched for: the caller predicts it (for kappa, from
-the character; see monodromy) and integer_spectrum proves the prediction by
+the character) and integer_spectrum proves the prediction by
 comparing det(xI - A) with prod (x - c)^m modulo enough primes.  First it
 checks that the multiplicities add up to n and that every predicted c lies
 in the Gershgorin window [-R, R].  Then the coefficient of x^(n-k) in

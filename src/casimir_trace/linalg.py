@@ -11,6 +11,7 @@ lives in the modular kernel.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
@@ -35,33 +36,20 @@ def rank_int(rows: list[list[int]], ncols: int | None = None) -> int:
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        pval = m[row][col]
+        pivot_row = m[row][col:ncols]
+        pval = pivot_row[0]
         for r in range(row + 1, nrows):
             rval = m[r][col]
             if rval:
-                for c in range(col, ncols):
-                    m[r][c] = m[r][c] * pval - rval * m[row][c]
+                new = [a * pval - rval * b for a, b in zip(m[r][col:ncols], pivot_row)]
                 # keep entries small; content removal is safe for rank
-                g = 0
-                for c in range(col, ncols):
-                    g = _gcd(g, m[r][c])
-                    if g == 1:
-                        break
-                if g > 1:
-                    for c in range(col, ncols):
-                        m[r][c] //= g
+                g = math.gcd(*new)
+                m[r][col:ncols] = [a // g for a in new] if g > 1 else new
         row += 1
         rank += 1
         if row == nrows:
             break
     return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -8,7 +8,8 @@ each nilpotent part enters polynomially in mu.  Traces are mu-free and,
 summed over weight spaces, give the q-series the closed forms predict.
 
 Everything is exact: integer kappa matrices, integer spectra predicted by
-the character and proven against them (see kernel), exact nullspaces.
+the character and proven against them by a walk down the Verma flag (see
+_branch_spectrum), exact nullspaces.
 The graded-trace driver never builds eigenvectors; algebraic
 multiplicities suffice for traces, so it scales to the large tensor
 products the equality checks need.
@@ -29,9 +30,31 @@ n_mu over the mu >= w, mu = w (mod 2), that give this c.  That sum is the
 dimension of a generalized eigenspace, so a negative one is an invariant
 violation.  The character of a tensor branch is the product of its atom
 characters.  prove_spectra proves those per-branch spectra against the
-kappa matrices, the paper's method (see kernel): it visits the same branch
-weight spaces that trace_series reads, and the oracle battery runs it
-before every trace it checks.
+kappa matrices, the paper's method: it visits the same branch weight spaces
+that trace_series reads, and the oracle battery runs it before every trace
+it checks.
+
+The proof walks each branch down from its top weight.  kappa = ef + fe =
+2fe + h, so on the weight-v space kappa_v = 2 F_v E_v + v, with
+F_v: W_(v+2) -> W_v the matrix of f and E_v: W_v -> W_(v+2) that of e.  If
+[e, f] = h holds on W_(v+2) and F_v is injective, then U = F_v W_(v+2) is
+kappa_v-invariant, kappa_v acts on U like kappa_(v+2) + 2v + 2 and on
+W_v / U as the scalar v, so
+
+    spec kappa_v = (spec kappa_(v+2) + 2v + 2) + {v}^(dim W_v - dim W_(v+2)).
+
+Each level costs O(nnz) and no prime.  A branch with a Verma leg has a
+Verma flag (Humphreys, BGG Category O, 1.3 and 3.6): branch_expr puts that
+leg first, so f sends (k, r) to (k+1, r) with coefficient 1 plus terms of
+first index k, and unit leading entries show F_v injective.  On a branch
+of finite irreducibles alone, E_v F_v = (kappa_(v+2) + v + 2) / 2, so F_v
+is injective when -(v+2) is not an eigenvalue already derived, which holds
+at every positive weight; below weight 0 the walk runs up from the bottom
+instead, mirrored (kappa = 2ef - h, e steps).  Where that test passes,
+the new eigenvalue never meets a carried one, so kappa stays
+diagonalizable and its Jordan blocks have size 1.  At every weight a
+caller asks for, the walk also checks kappa_flat against 2 F E + v (or
+2 E F - v) entry by entry.
 
 The cutoff: with mu = w + 2j, the flag piece M_mu contributes
 -c/2 = -j^2 - (w+1)j - w/2, which is exactly the parabola that
@@ -43,7 +66,7 @@ branch at the depth past which no exponent lies below the order.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +78,7 @@ from .errors import DomainError, InvariantError, UnsupportedInputError
 from .rep import (
     BranchKey,
     ModuleExpr,
+    action_columns,
     branch_dimensions,
     branch_expr,
     format_index,
@@ -70,8 +94,8 @@ class SpectralData:
     """Eigenvalues of kappa on one weight space.
 
     eigen: sorted (eigenvalue, algebraic multiplicity, max Jordan block).
-    exact: True when the spectrum and the block sizes of every tensor branch
-    are proven over Q; False when any of them used the triple-prime
+    exact: True when the block sizes of every tensor branch are proven over
+    Q (spectra always are); False when any of them used the triple-prime
     certificate (see kernel)."""
 
     weight: int
@@ -97,21 +121,27 @@ def _int_powers_minus_c(flat: list[int], n: int, c: int) -> Iterator[list[list[i
     """(kappa - c)^s for s = 1, 2, ...: each power is the one before times
     (kappa - c), computed only when the next one is asked for."""
     base = [[flat[i * n + j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in base]
     power = base
     while True:
         yield power
-        power = [
-            [sum(power[i][k] * base[k][j] for k in range(n) if power[i][k]) for j in range(n)]
-            for i in range(n)
-        ]
+        nxt = []
+        for row in power:
+            acc = [0] * n
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in sparse[k]:
+                        acc[j] += a * b
+            nxt.append(acc)
+        power = nxt
 
 
-def _block_size(flat: list[int], n: int, c: int, m: int, exact: bool) -> tuple[int, bool]:
+def _block_size(flat: list[int], n: int, c: int, m: int) -> tuple[int, bool]:
     """Smallest s with nullity((A-cI)^s) = m, i.e. the largest Jordan block,
     and whether it is proven over Q (False: from the modular certificate)."""
     if m == 1:
         return 1, True
-    if exact and n <= EXACT_BLOCKS_MAX:
+    if n <= EXACT_BLOCKS_MAX:
         for s, power in zip(range(1, m + 1), _int_powers_minus_c(flat, n, c)):
             if n - linalg.rank_int(power, n) == m:
                 return s, True
@@ -133,25 +163,29 @@ def spectral(expr: ModuleExpr, w: int) -> SpectralData:
     of the distinct tensor branches, each repeated by its multiplicity, and
     kappa preserves every summand.  Dimensions and multiplicities add, the
     largest Jordan block is the largest over the branches, and ``exact``
-    holds only if every branch's spectrum and block sizes are proven over
-    Q: the proof level is that of the weakest summand."""
+    holds only if every branch's block sizes are proven over Q: the proof
+    level is that of the weakest summand.  Branches of finite irreducibles
+    alone have blocks of size 1, proven by the walk with their spectrum."""
     dimension = 0
     mults: dict[int, int] = {}
     blocks: dict[int, int] = {}
     exact = True
     for key, k in tensor_branches(expr).items():
-        eigs, branch_exact = _branch_spectrum(key, w)
+        eigs = _branch_spectrum(key, w)
         if not eigs:
             continue
         n = sum(m for _, m in eigs)
         dimension += k * n
-        exact = exact and branch_exact
+        finite = _is_finite(key)
         flat = None
         for c, m in eigs:
             mults[c] = mults.get(c, 0) + k * m
-            if m > 1 and flat is None:
-                flat = kappa_flat(branch_expr(key), w)[1]
-            b, proven = _block_size(flat, n, c, m, branch_exact)
+            if finite:
+                b, proven = 1, True
+            else:
+                if m > 1 and flat is None:
+                    flat = _branch_kappa(key, w)
+                b, proven = _block_size(flat, n, c, m)
             blocks[c] = max(blocks.get(c, 0), b)
             exact = exact and proven
     if not dimension:
@@ -531,18 +565,172 @@ def _exponent_floor(top: int, w) -> Fraction:
     return min(at_zero, at_end)
 
 
+def _is_finite(key: BranchKey) -> bool:
+    return all(kind == "L" for kind, _n in key)
+
+
+class _Walk:
+    """A branch walked one level at a time from an end of its weights to
+    ``weight``: down from the top (sign 1, f steps, kappa = 2fe + h) or up
+    from the bottom (sign -1, e steps, kappa = 2ef - h).  Holds the basis of
+    the weight space reached, kappa's spectrum there as {c: m}, the columns
+    of the stepping generator into it from the level before (``step``) and
+    of the other generator back (``back``), and kappa_flat there once a
+    caller has asked for this weight."""
+
+    __slots__ = ("key", "expr", "sign", "weight", "basis", "spectrum", "step", "back", "kappa")
+
+    def __init__(self, key: BranchKey, expr: ModuleExpr, sign: int, weight: int, basis: list,
+                 spectrum: dict[int, int], step: list[dict[int, int]],
+                 back: list[dict[int, int]]):
+        self.key, self.expr, self.sign, self.weight = key, expr, sign, weight
+        self.basis, self.spectrum, self.step, self.back = basis, spectrum, step, back
+        self.kappa: list[int] | None = None
+
+
+# Walks between calls, the latest last, so that prove_spectra's consecutive
+# depths of one branch continue one walk.  Measured on perfbench, seeds 1 to
+# 10: an oracle-battery round starts 10 walks and continues one 163 or 164
+# times, 159 times the latest, 4 times the fifth latest (conjecture proves F'
+# one level deeper on F's branches) and sometimes once the third latest
+# (spectral on P below where conjecture walked P's branch); none older.
+# Restarting those 5 costs about 21 ms a round, continuing them 5 ms.
+# trace-cli starts 3 walks and continues none; exact-monodromy never walks.
+# A walk holds two bases, sparse e and f, and kappa at its weight: 0.04 MB
+# on the benchmark's spaces, 0.18 MB on L20 x L20 x L20 at 0 (n = 331).
+WALKS_MAX = 5
+_WALKS: OrderedDict[BranchKey, _Walk] = OrderedDict()
+
+
+def _lead(idx) -> int:
+    """Depth on the first (Verma) leg of a branch basis index."""
+    return idx if isinstance(idx, int) else idx[0]
+
+
+def _successor(idx):
+    return idx + 1 if isinstance(idx, int) else (idx[0] + 1,) + idx[1:]
+
+
+def _start_walk(key: BranchKey, sign: int) -> _Walk:
+    expr = branch_expr(key)
+    top = sum(t[1] for t in key)
+    basis = weight_space(expr, sign * top)
+    # past the end the space is zero, so there kappa = sign h = top
+    back = action_columns("e" if sign > 0 else "f", expr, basis, [])
+    return _Walk(key, expr, sign, sign * top, basis, {top: len(basis)}, [], back)
+
+
+def _step(walk: _Walk) -> None:
+    """Moves the walk from W_u to W_v, v = u - 2 sign, after proving that
+    the stepping generator is injective there and that [e, f] = h on W_u."""
+    sign, u = walk.sign, walk.weight
+    v = u - 2 * sign
+    prev = walk.basis
+    here = weight_space(walk.expr, v)
+    step = action_columns("f" if sign > 0 else "e", walk.expr, prev, here)
+    back = action_columns("e" if sign > 0 else "f", walk.expr, here, prev)
+    finite = _is_finite(walk.key)
+    if finite:
+        # back step = (kappa_u + sign u) / 2 on W_u, invertible unless
+        # -sign u is an eigenvalue there.  Without it no carried eigenvalue
+        # c + sign (u + v) equals the new one, sign v, so kappa stays
+        # diagonalizable.
+        if -sign * u in walk.spectrum:
+            raise InvariantError(
+                f"{walk.expr} at weight {u}: kappa has the eigenvalue {-sign * u}, so the "
+                f"injectivity of the step to {v} is not proven")
+    else:
+        for j, col in enumerate(step):
+            k = _lead(prev[j])
+            deeper = [(here[r], c) for r, c in col.items() if _lead(here[r]) > k]
+            if deeper != [(_successor(prev[j]), 1)]:
+                raise InvariantError(
+                    f"f on {walk.expr} at weight {u}: no unit leading entry one level deeper "
+                    f"on the Verma leg, so its injectivity is not proven")
+    for j, col in enumerate(step):
+        # column j of back_v step_v - step_u back_u - sign u, zero when [e, f] = h
+        acc = {j: -sign * u}
+        for i, a in col.items():
+            for r, b in back[i].items():
+                acc[r] = acc.get(r, 0) + a * b
+        for i, a in walk.back[j].items():
+            for r, b in walk.step[i].items():
+                acc[r] = acc.get(r, 0) - a * b
+        if any(acc.values()):
+            raise InvariantError(f"[e, f] != h on the weight-{u} space of {walk.expr}")
+    spectrum = {c + sign * (u + v): m for c, m in walk.spectrum.items()}
+    fresh = len(here) - len(prev)
+    if fresh:
+        spectrum[sign * v] = spectrum.get(sign * v, 0) + fresh
+    walk.weight, walk.basis, walk.spectrum = v, here, spectrum
+    walk.step, walk.back, walk.kappa = step, back, None
+
+
+def _check_kappa(walk: _Walk) -> None:
+    """kappa_flat = 2 step back + sign v on the walk's weight space, entry by
+    entry."""
+    v = walk.weight
+    n, flat = kappa_flat(walk.expr, v, walk.basis)
+    nonzero = 0
+    for j, col in enumerate(walk.back):
+        want = {j: walk.sign * v}
+        for i, a in col.items():
+            for r, b in walk.step[i].items():
+                want[r] = want.get(r, 0) + 2 * a * b
+        for r, x in want.items():
+            if flat[r * n + j] != x:
+                raise InvariantError(f"kappa != 2fe + h on the weight-{v} space of {walk.expr}")
+            nonzero += x != 0
+    if nonzero != n * n - flat.count(0):
+        raise InvariantError(f"kappa != 2fe + h on the weight-{v} space of {walk.expr}")
+    walk.kappa = flat
+
+
+def _walk_to(key: BranchKey, w: int) -> _Walk:
+    """The branch's walk at weight w, continued from the cached one when it
+    has not yet passed w; iterative, so any depth is fine.  A branch of
+    finite irreducibles is walked from its nearer end, where the stepping
+    generator is injective."""
+    sign = -1 if w < 0 and _is_finite(key) else 1
+    walk = _WALKS.pop(key, None)
+    if walk is None or walk.sign != sign or sign * (walk.weight - w) < 0:
+        walk = _start_walk(key, sign)
+    while sign * (walk.weight - w) > 0:
+        _step(walk)
+    _WALKS[key] = walk
+    if len(_WALKS) > WALKS_MAX:
+        _WALKS.popitem(last=False)
+    return walk
+
+
 # The conjecture suite fills 315 keys and one oracle-battery round of
 # perfbench 180; an entry is a few integer pairs.
 @lru_cache(maxsize=4096)
-def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[tuple[int, int], ...], bool]:
-    expr = branch_expr(key)
-    basis = weight_space(expr, w)
-    if not basis:
-        return (), True
-    n, flat = kappa_flat(expr, w, basis)
-    predicted = _character_spectra(key, [(sum(t[1] for t in key) - w) // 2])[0]
-    eigs, exact = kernel.integer_spectrum(flat, n, predicted)
-    return tuple(eigs), exact
+def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[int, int], ...]:
+    """kappa's spectrum on the branch's weight-w space as sorted (c, m):
+    the character's prediction, proven against kappa (module docstring)."""
+    top = sum(t[1] for t in key)
+    depth, odd = divmod(top - w, 2)
+    if depth < 0 or odd or (w < -top and _is_finite(key)):
+        return ()
+    predicted = _character_spectra(key, [depth])[0]
+    walk = _walk_to(key, w)
+    if walk.kappa is None:
+        _check_kappa(walk)
+    derived = sorted(walk.spectrum.items())
+    if derived != predicted:
+        raise InvariantError(f"branch {key} weight {w}: the walk gives {derived}, "
+                             f"the character {predicted}")
+    return tuple(derived)
+
+
+def _branch_kappa(key: BranchKey, w: int) -> list[int]:
+    """kappa_flat on the branch's weight-w space, from the branch's walk when
+    it sits there."""
+    walk = _WALKS.get(key)
+    if walk is not None and walk.weight == w and walk.kappa is not None:
+        return walk.kappa
+    return kappa_flat(branch_expr(key), w)[1]
 
 
 def _branch_depth_jobs(key: BranchKey, l: int, order: Fraction) -> list[int]:

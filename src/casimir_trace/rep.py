@@ -106,6 +106,21 @@ def top_weight(expr: ModuleExpr) -> int:
     raise DomainError(f"not a module expression: {expr!r}")
 
 
+def bottom_weight(expr: ModuleExpr) -> int | None:
+    """Smallest weight of a finite-dimensional module; None when there is a
+    Verma factor, whose weights go down without end."""
+    if isinstance(expr, Irr):
+        return -expr.n
+    if isinstance(expr, (Verma, BigP)):
+        return None
+    if isinstance(expr, Power):
+        return bottom_weight(expr.base)
+    parts = [bottom_weight(p) for p in expr.parts]
+    if None in parts:
+        return None
+    return min(parts) if isinstance(expr, DirectSum) else sum(parts)
+
+
 def index_weight(expr: ModuleExpr, idx: Index) -> int:
     if isinstance(expr, Verma):
         return expr.lam - 2 * idx
@@ -154,12 +169,20 @@ def _iter_indices(expr: ModuleExpr, w: int) -> Iterator[Index]:
             return
         rest_expr = Tensor(rest)
         rest_top = sum(top_weight(p) for p in rest)
+        rest_bottom = bottom_weight(rest_expr)
         w1 = top_weight(head)
         # a head whose branch tops differ in parity has weights of both
         mixed = not isinstance(head, (Verma, Irr, BigP)) and len(
             {sum(t[1] for t in key) % 2 for key in tensor_branches(head)}) > 1
         step = 1 if mixed else 2
-        while w1 >= w - rest_top:
+        # finite factors bound the head's weight from both sides
+        if rest_bottom is not None and w1 > w - rest_bottom:
+            w1 -= -(-(w1 - w + rest_bottom) // step) * step
+        lowest = w - rest_top
+        head_bottom = bottom_weight(head)
+        if head_bottom is not None:
+            lowest = max(lowest, head_bottom)
+        while w1 >= lowest:
             for i in _iter_indices(head, w1):
                 for tail in _iter_indices(rest_expr, w - w1):
                     yield (i,) + tail
@@ -399,11 +422,12 @@ def tensor_branches(expr: ModuleExpr) -> Counter:
 
 
 def branch_expr(key: BranchKey) -> ModuleExpr:
-    # Verma legs first.  Any leg order gives a similar kappa, but in this
-    # basis order the charpoly's Hessenberg reduction fills in less.  Measured
-    # modulo one modulus: on P x P at weight -22 (n = 44) it made 8.2e3
-    # entry updates instead of 3.8e4 and took 8.5 ms instead of 26 ms; on
-    # P x P x P at -8 (n = 66), 5.9e4 instead of 9.6e4 and 34 ms instead of 81.
+    """The branch as a module, Verma legs first.
+
+    Any leg order gives a similar kappa.  This one lets the Verma-flag walk
+    (monodromy) see that f is injective from the basis alone: with a Verma
+    leg first, f sends an index (k, r) to (k + 1, r) with coefficient 1 plus
+    terms whose first index is still k."""
     atoms = tuple(_atom_from_key(k) for k in sorted(key, key=lambda k: k[0] != "M"))
     return atoms[0] if len(atoms) == 1 else Tensor(atoms)
 
@@ -419,6 +443,24 @@ def branch_dimensions(key: BranchKey, deepest: int) -> list[int]:
     return dims
 
 
+def action_columns(gen: str, expr: ModuleExpr, src: list[Index],
+                   tgt: list[Index]) -> list[dict[int, int]]:
+    """Sparse matrix of a generator from the span of the basis ``src`` to the
+    span of ``tgt``: per source vector, its image as {target position:
+    coefficient}."""
+    pos = {idx: i for i, idx in enumerate(tgt)}
+    cols = []
+    for idx in src:
+        col = {}
+        for i2, c in act(gen, expr, idx).items():
+            i = pos.get(i2)
+            if i is None:
+                raise InvariantError(f"{gen} image escaped the target weight space")
+            col[i] = c
+        cols.append(col)
+    return cols
+
+
 def raising_matrix(expr: ModuleExpr, w: int) -> tuple[list[list[int]], int, int]:
     """Matrix of e from the weight-w space to the weight-(w+2) space.
 
@@ -426,13 +468,9 @@ def raising_matrix(expr: ModuleExpr, w: int) -> tuple[list[list[int]], int, int]
     basis."""
     src = weight_space(expr, w)
     tgt = weight_space(expr, w + 2)
-    pos = {idx: i for i, idx in enumerate(tgt)}
     rows = [[0] * len(src) for _ in tgt]
-    for j, idx in enumerate(src):
-        for i2, c in act("e", expr, idx).items():
-            i = pos.get(i2)
-            if i is None:
-                raise InvariantError("e image escaped the target weight space")
+    for j, col in enumerate(action_columns("e", expr, src, tgt)):
+        for i, c in col.items():
             rows[i][j] = c
     return rows, len(src), len(tgt)
 

@@ -434,32 +434,54 @@ class ZetaCheckParams:
             raise DomainError("tolerance must be positive")
 
 
-@lru_cache(maxsize=16)
-def _leggauss(nodes: int):
-    """Gauss-Legendre nodes and weights on [-1, 1]; read-only arrays, shared
-    by every caller."""
-    import numpy as np
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x), by the three-term recurrence."""
+    p_prev, p = 1.0, x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
 
-    x, wgt = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = False
-    wgt.flags.writeable = False
-    return x, wgt
+
+@lru_cache(maxsize=16)
+def _leggauss(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n from Tricomi's estimates of its roots, then, as
+    numpy's leggauss does, the rule is made exactly symmetric and its
+    weights scaled to sum to 2."""
+    n = nodes
+    xs, ws = [], []
+    for i in range(n, 0, -1):
+        x = (1 - 1 / (8 * n ** 2) + 1 / (8 * n ** 3)) * math.cos(math.pi * (4 * i - 1) / (4 * n + 2))
+        for _ in range(50):
+            p, dp = _legendre(n, x)
+            step = p / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        dp = _legendre(n, x)[1]
+        xs.append(x)
+        ws.append(2.0 / ((1.0 - x * x) * dp * dp))
+    xs = [(a - b) / 2 for a, b in zip(xs, reversed(xs))]
+    ws = [(a + b) / 2 for a, b in zip(ws, reversed(ws))]
+    total = math.fsum(ws)
+    return tuple(xs), tuple(2.0 * w / total for w in ws)
 
 
 def _gl_term_integral(c: float, a: float, b: float, s: float, nodes: int) -> float:
     """integral of t^(s/2-1) e^(-c t) over [a, b]: geometric panels, fixed
     Gauss-Legendre rule per panel."""
-    import numpy as np
-
-    x, wgt = _leggauss(nodes)
+    rule = list(zip(*_leggauss(nodes)))
+    power = s / 2.0 - 1.0
+    exp = math.exp
     total = 0.0
     lo = a
     ratio = 4.0
     while lo < b:
         hi = min(lo * ratio, b)
         mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-        t = mid + half * x
-        total += half * float(np.sum(wgt * t ** (s / 2.0 - 1.0) * np.exp(-c * t)))
+        total += half * math.fsum(
+            w * (mid + half * x) ** power * exp(-c * (mid + half * x)) for x, w in rule)
         lo = hi
     return total
 

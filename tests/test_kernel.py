@@ -153,8 +153,9 @@ def test_spectral_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import sys, casimir_trace\n"
-            "from casimir_trace import monodromy, rep\n"
+            "from casimir_trace import monodromy, rep, verify\n"
             "monodromy.spectral(rep.BigP(), -6)\n"
+            "assert verify.zeta_mellin_check().status == 'pass'\n"
             "assert 'numpy' not in sys.modules, 'numpy imported'\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)

@@ -154,6 +154,149 @@ def test_character_counts_weight_spaces(expr, depth):
         assert ch.get(w, 0) == len(rep.weight_space(expr, w))
 
 
+def _certified(key, w):
+    """kappa's spectrum on a branch weight space, proven by the independent
+    route: the characteristic polynomial modulo primes (kernel)."""
+    expr = rep.branch_expr(key)
+    n, flat = rep.kappa_flat(expr, w)
+    predicted = monodromy._character_spectra(key, [(sum(t[1] for t in key) - w) // 2])[0]
+    eigs, exact = kernel.integer_spectrum(flat, n, predicted)
+    assert exact
+    return tuple(eigs)
+
+
+@given(EXPR, st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_verma_flag_walk_matches_the_charpoly_certificate(expr, depth):
+    for key in sorted(rep.tensor_branches(expr)):
+        w = sum(t[1] for t in key) - 2 * depth
+        n = len(rep.weight_space(rep.branch_expr(key), w))
+        if 0 < n <= 40:
+            assert monodromy._branch_spectrum(key, w) == _certified(key, w)
+
+
+@pytest.mark.parametrize("key", [(("L", 2), ("L", 3)), (("L", 1), ("L", 1), ("L", 4)),
+                                 (("L", 0),)])
+def test_finite_branch_spectrum_at_negative_weights(key, monkeypatch):
+    top = sum(t[1] for t in key)
+    monodromy._branch_spectrum.cache_clear()
+    for w in range(top, -top - 1, -2):
+        assert monodromy._branch_spectrum(key, w) == _certified(key, w)
+    # below the bottom weight the space is zero
+    assert monodromy._branch_spectrum(key, -top - 2) == ()
+    character_spectra = monodromy._character_spectra
+    monkeypatch.setattr(monodromy, "_character_spectra", lambda key, depths: [
+        [(c + 2, m) for c, m in s] for s in character_spectra(key, depths)])
+    monodromy._branch_spectrum.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="the walk gives"):
+            monodromy._branch_spectrum(key, -top)
+    finally:
+        monodromy._branch_spectrum.cache_clear()
+
+
+def test_spectral_walks_down_iteratively(monkeypatch):
+    # 1000 levels below the top, more than Python's default recursion limit
+    monodromy._WALKS.clear()
+    monodromy._branch_spectrum.cache_clear()
+    assert spectral(P, -2000).eigen == ((-2 * 1000 ** 2, 2, 2),)
+
+
+def test_walk_cache_is_bounded_and_continues_one_walk(monkeypatch):
+    monodromy._WALKS.clear()
+    monodromy._branch_spectrum.cache_clear()
+    starts = []
+    start_walk = monodromy._start_walk
+    monkeypatch.setattr(monodromy, "_start_walk",
+                        lambda key, sign: starts.append((key, sign)) or start_walk(key, sign))
+    # consecutive depths of one branch continue one walk
+    expr = rep.Tensor((M0, P))
+    monodromy.prove_spectra(expr, 1, F(12))
+    (key,) = rep.tensor_branches(expr)
+    assert starts == [(key, 1)] and monodromy._WALKS[key].weight < -10
+    # a branch of finite irreducibles walks down to weight 0, then up from
+    # the bottom for each negative weight
+    starts.clear()
+    finite = (("L", 2), ("L", 2))
+    monodromy.prove_spectra(rep.branch_expr(finite), 1, F(12))
+    assert starts == [(finite, 1), (finite, -1), (finite, -1)]
+    # the cache keeps the most recent walks, at most WALKS_MAX of them
+    keys = [(("M", -lam),) for lam in range(monodromy.WALKS_MAX + 3)]
+    for k in keys:
+        monodromy._branch_spectrum(k, k[0][1] - 4)
+    assert list(monodromy._WALKS) == keys[-monodromy.WALKS_MAX:]
+    monodromy._WALKS.clear()
+    monodromy._branch_spectrum.cache_clear()
+
+
+def _bump_kappa(kappa_flat):
+    def bumped(expr, w, basis=None):
+        n, flat = kappa_flat(expr, w, basis)
+        return n, [x + (i == 1) for i, x in enumerate(flat)]
+    return bumped
+
+
+def _bump_e(action_columns):
+    def bumped(gen, expr, src, tgt):
+        cols = action_columns(gen, expr, src, tgt)
+        if gen == "e" and cols and tgt:
+            cols[0] = {**cols[0], 0: cols[0].get(0, 0) + 1}
+        return cols
+    return bumped
+
+
+@pytest.mark.parametrize("name, bump, message", [
+    ("kappa_flat", _bump_kappa, "kappa != 2fe"),
+    ("action_columns", _bump_e, r"\[e, f\] != h"),
+])
+def test_walk_checks_the_matrices_it_reads(name, bump, message, monkeypatch):
+    monkeypatch.setattr(monodromy, name, bump(getattr(monodromy, name)))
+    monodromy._WALKS.clear()
+    monodromy._branch_spectrum.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match=message):
+            monodromy._branch_spectrum((("L", 1), ("M", -1)), -4)
+    finally:
+        monodromy._WALKS.clear()
+        monodromy._branch_spectrum.cache_clear()
+
+
+def test_finite_walk_stops_where_f_may_not_be_injective():
+    # L2 x L2 holds L0: at weight 0 kappa has the eigenvalue 0, f kills it
+    walk = monodromy._start_walk((("L", 2), ("L", 2)), 1)
+    monodromy._step(walk)
+    monodromy._step(walk)
+    assert walk.weight == 0 and walk.spectrum == {0: 1, 4: 1, 12: 1}
+    with pytest.raises(InvariantError, match="injectivity"):
+        monodromy._step(walk)
+
+
+def test_walk_refuses_a_basis_that_hides_injectivity(monkeypatch):
+    # M0 x L1 has a Verma flag, but with the finite leg first f keeps the
+    # first index on u(-1), so its leading entries no longer prove f injective
+    key = (("L", 1), ("M", 0))
+    monkeypatch.setattr(monodromy, "branch_expr",
+                        lambda key: rep.Tensor(tuple(rep._atom_from_key(k) for k in key)))
+    monodromy._WALKS.clear()
+    monodromy._branch_spectrum.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="leading entry"):
+            monodromy._branch_spectrum(key, -3)
+    finally:
+        monodromy._branch_spectrum.cache_clear()
+
+
+def test_spectral_builds_kappa_once_per_branch(monkeypatch):
+    calls = []
+    kappa_flat = monodromy.kappa_flat
+    monkeypatch.setattr(monodromy, "kappa_flat", lambda *a: calls.append(a[1]) or kappa_flat(*a))
+    monodromy._WALKS.clear()
+    monodromy._branch_spectrum.cache_clear()
+    # one branch, an eigenvalue of multiplicity 4: its block size reads kappa
+    assert spectral(parse_rep("P x P"), -14).eigen[0] == (-98, 4, 2)
+    assert calls == [-14]
+
+
 @pytest.mark.parametrize("text, l, order", [
     ("M3 + L2 x P", 1, F(8)),
     ("(M0 + M-2)^2 x P", 2, F(15, 2)),
@@ -203,7 +346,7 @@ def test_spectral_is_not_exact_when_blocks_come_from_the_certificate():
     assert sd.eigen[0] == (-50, 6, 2)
     assert not sd.exact
     (key,) = rep.tensor_branches(rep.Tensor((P, P, P)))
-    assert monodromy._branch_spectrum(key, -10)[1]
+    assert monodromy._branch_spectrum(key, -10)[0] == (-50, 6)
 
 
 def test_spectral_sums_branches():
@@ -231,7 +374,7 @@ def _whole_kappa_spectral(expr, w):
     n, flat, eigs, exact = _whole_kappa_spectrum(expr, w)
     triples = []
     for c, m in eigs:
-        b, proven = monodromy._block_size(flat, n, c, m, exact)
+        b, proven = monodromy._block_size(flat, n, c, m)
         triples.append((c, m, b))
         exact = exact and proven
     return n, tuple(triples), exact
