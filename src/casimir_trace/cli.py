@@ -353,8 +353,7 @@ def _cmd_spectral(args) -> int:
             sys.stdout.write(f"{c},{m},{b}\n")
     else:
         sys.stdout.write(
-            f"# kappa spectrum at weight {data.weight}, dimension {data.dimension}"
-            f"{'' if data.exact else ' (triple-prime certificate)'}\n")
+            f"# kappa spectrum at weight {data.weight}, dimension {data.dimension}\n")
         for c, m, b in data.eigen:
             sys.stdout.write(f"value {c}\tmultiplicity {m}\tmax block {b}\n")
     return 0

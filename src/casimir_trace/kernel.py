@@ -1,10 +1,12 @@
 """Certified integer spectra on top of one modular kernel (_purekernel).
 
-The program's spectra of kappa are proven by the Verma-flag walk in
-monodromy, with no prime.  Two uses remain here: nullity_mod gives the
-Jordan block sizes of spaces above monodromy.EXACT_BLOCKS_MAX, and
-integer_spectrum is the independent reference the tests prove the walk
-against.
+The program's spectra of kappa and their Jordan block sizes are proven by
+the Verma-flag walk in monodromy, with no prime: src calls nothing here
+but backend_name, which the package exports.  integer_spectrum is the
+independent reference the tests prove the walk against.  nullity_mod, which
+gave the block sizes of spaces above dimension 80 before the walk carried
+them, and the charpoly kernel stay until ROADMAP item 1 re-points the
+benchmark's tracer, which wraps them (perfbench/tracer.py).
 
 One modulus, many primes: Z/M is isomorphic to the product of the Z/p_i for
 M = p_1 ... p_k, so a single Hessenberg reduction or elimination modulo M

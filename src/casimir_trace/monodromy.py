@@ -9,7 +9,8 @@ summed over weight spaces, give the q-series the closed forms predict.
 
 Everything is exact: integer kappa matrices, integer spectra predicted by
 the character and proven against them by a walk down the Verma flag (see
-_branch_spectrum), exact nullspaces.
+_branch_spectrum), Jordan block sizes carried along the same walk, exact
+nullspaces.
 The graded-trace driver never builds eigenvectors; algebraic
 multiplicities suffice for traces, so it scales to the large tensor
 products the equality checks need.
@@ -56,6 +57,23 @@ diagonalizable and its Jordan blocks have size 1.  At every weight a
 caller asks for, the walk also checks kappa_flat against 2 F E + v (or
 2 E F - v) entry by entry.
 
+The walk carries kappa's largest Jordan block b(c) for every eigenvalue c
+as well.  F_v maps kappa_(v+2) + 2v + 2 on W_(v+2) onto kappa_v on U, and
+kappa_v - v maps W_v into U.  So for c != v the generalized c-eigenspace
+of W_v lies in U: it is F_v applied to the generalized (c - 2v - 2)-
+eigenspace of W_(v+2), and c inherits that eigenvalue's block.  For c = v,
+let G be the generalized v-eigenspace of W_v and G' the generalized
+(-v - 2)-eigenspace of W_(v+2), with largest block b'.  kappa_v - v maps G
+into its intersection with U, which is F_v G'.  With no such G' every block
+of v has size 1; with no
+new flag piece at v, G = F_v G' and b(v) = b'; otherwise, at a collision,
+b' <= b(v) <= b' + 1, and b(v) = b' iff (kappa_v - v)^b' has nullity
+dim G.  So one exact rank per collision decides a block (_collision_block,
+on kappa_v - v = 2 F_v E_v, the operator checked against kappa_flat), and
+every other block costs nothing.  The walk up from the bottom mirrors the
+rule.  On a branch of finite irreducibles the injectivity test rules out
+collisions, so its blocks all have size 1.
+
 The cutoff: with mu = w + 2j, the flag piece M_mu contributes
 -c/2 = -j^2 - (w+1)j - w/2, which is exactly the parabola that
 _exponent_floor minimizes over 0 <= j <= (top-w)/2.  So the floor bounds
@@ -72,7 +90,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from . import kernel, linalg
+from . import linalg
 from .closed_forms import AppellLerchParams
 from .errors import DomainError, InvariantError, UnsupportedInputError
 from .rep import (
@@ -93,15 +111,19 @@ from .series import BiSeries, MuPoly, QSeries, Rat, as_frac, exp_str, rat_str
 class SpectralData:
     """Eigenvalues of kappa on one weight space.
 
-    eigen: sorted (eigenvalue, algebraic multiplicity, max Jordan block).
-    exact: True when the block sizes of every tensor branch are proven over
-    Q (spectra always are); False when any of them used the triple-prime
-    certificate (see kernel)."""
+    eigen: sorted (eigenvalue, algebraic multiplicity, max Jordan block),
+    every entry proven over Q at any dimension: spectra and blocks both come
+    from the walk down the flag (module docstring).  ``exact`` is always
+    True; it stays, in the JSON output too, for compatibility: block sizes
+    above dimension 80 used to come from a certificate modulo primes."""
 
     weight: int
     dimension: int
     eigen: tuple[tuple[int, int, int], ...]
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return True
 
     def to_obj(self) -> dict:
         return {
@@ -112,9 +134,6 @@ class SpectralData:
                 {"value": c, "multiplicity": m, "max_block": b} for c, m, b in self.eigen
             ],
         }
-
-
-EXACT_BLOCKS_MAX = 80  # above this, block sizes come from the modular certificate
 
 
 def _int_powers_minus_c(flat: list[int], n: int, c: int) -> Iterator[list[list[int]]]:
@@ -136,62 +155,27 @@ def _int_powers_minus_c(flat: list[int], n: int, c: int) -> Iterator[list[list[i
         power = nxt
 
 
-def _block_size(flat: list[int], n: int, c: int, m: int) -> tuple[int, bool]:
-    """Smallest s with nullity((A-cI)^s) = m, i.e. the largest Jordan block,
-    and whether it is proven over Q (False: from the modular certificate)."""
-    if m == 1:
-        return 1, True
-    if n <= EXACT_BLOCKS_MAX:
-        for s, power in zip(range(1, m + 1), _int_powers_minus_c(flat, n, c)):
-            if n - linalg.rank_int(power, n) == m:
-                return s, True
-        raise InvariantError(f"generalized eigenspace of {c} never reached multiplicity {m}")
-    for s in range(1, m + 1):
-        nulls = kernel.nullity_mod(flat, n, c, s, kernel.CERTIFYING_MODULUS)
-        if len(nulls) != 1:
-            raise InvariantError("certifying primes disagree on a nullity")
-        if nulls.pop() == m:
-            return s, False
-    raise InvariantError(f"generalized eigenspace of {c} never reached multiplicity {m}")
-
-
 def spectral(expr: ModuleExpr, w: int) -> SpectralData:
-    """Certified eigenvalue data of kappa on the weight-w space.
+    """Exact eigenvalue data of kappa on the weight-w space.
 
     Computed branch by branch: tensor products distribute over direct sums
     as modules, so the weight space is the direct sum of the weight spaces
     of the distinct tensor branches, each repeated by its multiplicity, and
-    kappa preserves every summand.  Dimensions and multiplicities add, the
-    largest Jordan block is the largest over the branches, and ``exact``
-    holds only if every branch's block sizes are proven over Q: the proof
-    level is that of the weakest summand.  Branches of finite irreducibles
-    alone have blocks of size 1, proven by the walk with their spectrum."""
+    kappa preserves every summand.  Dimensions and multiplicities add, and
+    the largest Jordan block is the largest over the branches.  Each
+    branch's spectrum and blocks come from its walk (_branch_spectrum)."""
     dimension = 0
     mults: dict[int, int] = {}
     blocks: dict[int, int] = {}
-    exact = True
     for key, k in tensor_branches(expr).items():
-        eigs = _branch_spectrum(key, w)
-        if not eigs:
-            continue
-        n = sum(m for _, m in eigs)
-        dimension += k * n
-        finite = _is_finite(key)
-        flat = None
-        for c, m in eigs:
+        for c, m, b in _branch_spectrum(key, w):
+            dimension += k * m
             mults[c] = mults.get(c, 0) + k * m
-            if finite:
-                b, proven = 1, True
-            else:
-                if m > 1 and flat is None:
-                    flat = _branch_kappa(key, w)
-                b, proven = _block_size(flat, n, c, m)
             blocks[c] = max(blocks.get(c, 0), b)
-            exact = exact and proven
     if not dimension:
         raise DomainError(f"weight space at w={w} is zero")
     triples = tuple((c, m, blocks[c]) for c, m in sorted(mults.items()))
-    return SpectralData(weight=w, dimension=dimension, eigen=triples, exact=exact)
+    return SpectralData(weight=w, dimension=dimension, eigen=triples)
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +557,22 @@ class _Walk:
     """A branch walked one level at a time from an end of its weights to
     ``weight``: down from the top (sign 1, f steps, kappa = 2fe + h) or up
     from the bottom (sign -1, e steps, kappa = 2ef - h).  Holds the basis of
-    the weight space reached, kappa's spectrum there as {c: m}, the columns
-    of the stepping generator into it from the level before (``step``) and
-    of the other generator back (``back``), and kappa_flat there once a
-    caller has asked for this weight."""
+    the weight space reached, kappa's spectrum there as {c: m} and its
+    largest Jordan blocks as {c: b}, the columns of the stepping generator
+    into it from the level before (``step``) and of the other generator back
+    (``back``), and whether kappa_flat has been checked against them there
+    (``checked``, once a caller has asked for this weight)."""
 
-    __slots__ = ("key", "expr", "sign", "weight", "basis", "spectrum", "step", "back", "kappa")
+    __slots__ = ("key", "expr", "sign", "weight", "basis", "spectrum", "blocks", "step", "back",
+                 "checked")
 
     def __init__(self, key: BranchKey, expr: ModuleExpr, sign: int, weight: int, basis: list,
                  spectrum: dict[int, int], step: list[dict[int, int]],
                  back: list[dict[int, int]]):
         self.key, self.expr, self.sign, self.weight = key, expr, sign, weight
         self.basis, self.spectrum, self.step, self.back = basis, spectrum, step, back
-        self.kappa: list[int] | None = None
+        self.blocks = dict.fromkeys(spectrum, 1)
+        self.checked = False
 
 
 # Walks between calls, the latest last, so that prove_spectra's consecutive
@@ -596,8 +583,8 @@ class _Walk:
 # (spectral on P below where conjecture walked P's branch); none older.
 # Restarting those 5 costs about 21 ms a round, continuing them 5 ms.
 # trace-cli starts 3 walks and continues none; exact-monodromy never walks.
-# A walk holds two bases, sparse e and f, and kappa at its weight: 0.04 MB
-# on the benchmark's spaces, 0.18 MB on L20 x L20 x L20 at 0 (n = 331).
+# A walk holds two bases and sparse e and f: 0.04 MB on the benchmark's
+# spaces, 0.18 MB on L20 x L20 x L20 at 0 (n = 331).
 WALKS_MAX = 5
 _WALKS: OrderedDict[BranchKey, _Walk] = OrderedDict()
 
@@ -615,7 +602,7 @@ def _start_walk(key: BranchKey, sign: int) -> _Walk:
     expr = branch_expr(key)
     top = sum(t[1] for t in key)
     basis = weight_space(expr, sign * top)
-    # past the end the space is zero, so there kappa = sign h = top
+    # past the end the space is zero, so there kappa = sign h = top: blocks of size 1
     back = action_columns("e" if sign > 0 else "f", expr, basis, [])
     return _Walk(key, expr, sign, sign * top, basis, {top: len(basis)}, [], back)
 
@@ -658,12 +645,47 @@ def _step(walk: _Walk) -> None:
                 acc[r] = acc.get(r, 0) - a * b
         if any(acc.values()):
             raise InvariantError(f"[e, f] != h on the weight-{u} space of {walk.expr}")
-    spectrum = {c + sign * (u + v): m for c, m in walk.spectrum.items()}
+    shift = sign * (u + v)
+    spectrum = {c + shift: m for c, m in walk.spectrum.items()}
+    blocks = {c + shift: b for c, b in walk.blocks.items()}
     fresh = len(here) - len(prev)
     if fresh:
-        spectrum[sign * v] = spectrum.get(sign * v, 0) + fresh
-    walk.weight, walk.basis, walk.spectrum = v, here, spectrum
-    walk.step, walk.back, walk.kappa = step, back, None
+        new = sign * v
+        spectrum[new] = spectrum.get(new, 0) + fresh
+        carried = blocks.get(new)
+        blocks[new] = 1 if carried is None else _collision_block(step, back, carried, spectrum[new])
+    walk.weight, walk.basis, walk.spectrum, walk.blocks = v, here, spectrum, blocks
+    walk.step, walk.back, walk.checked = step, back, False
+
+
+def _times(cols: list[dict[int, int]], mat: list[dict[int, int]]) -> list[dict[int, int]]:
+    """mat times each sparse column, all as {row: entry} columns."""
+    out = []
+    for col in cols:
+        acc: dict[int, int] = {}
+        for i, a in col.items():
+            for r, b in mat[i].items():
+                acc[r] = acc.get(r, 0) + a * b
+        out.append({r: x for r, x in acc.items() if x})
+    return out
+
+
+def _collision_block(step: list[dict[int, int]], back: list[dict[int, int]], carried: int,
+                     m: int) -> int:
+    """Largest Jordan block of the new eigenvalue sign v where fresh flag
+    pieces meet a carried block of size ``carried``: that size or one more,
+    and the same size iff (kappa_v - sign v)^carried has nullity m, the
+    eigenvalue's multiplicity (module docstring).  kappa_v - sign v is
+    2 step back, the operator _check_kappa compares with kappa_flat, and its
+    powers have the ranks of those of step back."""
+    half = _times(back, step)
+    power = half
+    for _ in range(carried - 1):
+        power = _times(power, half)
+    n = len(back)
+    # the columns ranked as rows: a matrix and its transpose have one rank
+    rows = [[col.get(r, 0) for r in range(n)] for col in power]
+    return carried if n - linalg.rank_int(rows, n) == m else carried + 1
 
 
 def _check_kappa(walk: _Walk) -> None:
@@ -672,18 +694,16 @@ def _check_kappa(walk: _Walk) -> None:
     v = walk.weight
     n, flat = kappa_flat(walk.expr, v, walk.basis)
     nonzero = 0
-    for j, col in enumerate(walk.back):
-        want = {j: walk.sign * v}
-        for i, a in col.items():
-            for r, b in walk.step[i].items():
-                want[r] = want.get(r, 0) + 2 * a * b
+    for j, col in enumerate(_times(walk.back, walk.step)):
+        want = {r: 2 * x for r, x in col.items()}
+        want[j] = want.get(j, 0) + walk.sign * v
         for r, x in want.items():
             if flat[r * n + j] != x:
                 raise InvariantError(f"kappa != 2fe + h on the weight-{v} space of {walk.expr}")
             nonzero += x != 0
     if nonzero != n * n - flat.count(0):
         raise InvariantError(f"kappa != 2fe + h on the weight-{v} space of {walk.expr}")
-    walk.kappa = flat
+    walk.checked = True
 
 
 def _walk_to(key: BranchKey, w: int) -> _Walk:
@@ -704,33 +724,26 @@ def _walk_to(key: BranchKey, w: int) -> _Walk:
 
 
 # The conjecture suite fills 315 keys and one oracle-battery round of
-# perfbench 180; an entry is a few integer pairs.
+# perfbench 180; an entry is a few integer triples.
 @lru_cache(maxsize=4096)
-def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[int, int], ...]:
-    """kappa's spectrum on the branch's weight-w space as sorted (c, m):
-    the character's prediction, proven against kappa (module docstring)."""
+def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[int, int, int], ...]:
+    """kappa's spectrum on the branch's weight-w space as sorted (c, m, b),
+    b the largest Jordan block of c: the character's prediction of (c, m),
+    proven against kappa, and the blocks the walk carries (module
+    docstring)."""
     top = sum(t[1] for t in key)
     depth, odd = divmod(top - w, 2)
     if depth < 0 or odd or (w < -top and _is_finite(key)):
         return ()
     predicted = _character_spectra(key, [depth])[0]
     walk = _walk_to(key, w)
-    if walk.kappa is None:
+    if not walk.checked:
         _check_kappa(walk)
     derived = sorted(walk.spectrum.items())
     if derived != predicted:
         raise InvariantError(f"branch {key} weight {w}: the walk gives {derived}, "
                              f"the character {predicted}")
-    return tuple(derived)
-
-
-def _branch_kappa(key: BranchKey, w: int) -> list[int]:
-    """kappa_flat on the branch's weight-w space, from the branch's walk when
-    it sits there."""
-    walk = _WALKS.get(key)
-    if walk is not None and walk.weight == w and walk.kappa is not None:
-        return walk.kappa
-    return kappa_flat(branch_expr(key), w)[1]
+    return tuple((c, m, walk.blocks[c]) for c, m in derived)
 
 
 def _branch_depth_jobs(key: BranchKey, l: int, order: Fraction) -> list[int]:

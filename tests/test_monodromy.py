@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from casimir_trace import kernel, monodromy, rep
+from casimir_trace import kernel, linalg, monodromy, rep
 from casimir_trace.cli import parse_rep
 from casimir_trace.errors import DomainError, InvariantError, UnsupportedInputError
 from casimir_trace.monodromy import (
@@ -154,6 +154,11 @@ def test_character_counts_weight_spaces(expr, depth):
         assert ch.get(w, 0) == len(rep.weight_space(expr, w))
 
 
+def _pairs(triples):
+    """(c, m) of a branch's (c, m, b) triples."""
+    return tuple((c, m) for c, m, _b in triples)
+
+
 def _certified(key, w):
     """kappa's spectrum on a branch weight space, proven by the independent
     route: the characteristic polynomial modulo primes (kernel)."""
@@ -172,7 +177,7 @@ def test_verma_flag_walk_matches_the_charpoly_certificate(expr, depth):
         w = sum(t[1] for t in key) - 2 * depth
         n = len(rep.weight_space(rep.branch_expr(key), w))
         if 0 < n <= 40:
-            assert monodromy._branch_spectrum(key, w) == _certified(key, w)
+            assert _pairs(monodromy._branch_spectrum(key, w)) == _certified(key, w)
 
 
 @pytest.mark.parametrize("key", [(("L", 2), ("L", 3)), (("L", 1), ("L", 1), ("L", 4)),
@@ -181,7 +186,7 @@ def test_finite_branch_spectrum_at_negative_weights(key, monkeypatch):
     top = sum(t[1] for t in key)
     monodromy._branch_spectrum.cache_clear()
     for w in range(top, -top - 1, -2):
-        assert monodromy._branch_spectrum(key, w) == _certified(key, w)
+        assert _pairs(monodromy._branch_spectrum(key, w)) == _certified(key, w)
     # below the bottom weight the space is zero
     assert monodromy._branch_spectrum(key, -top - 2) == ()
     character_spectra = monodromy._character_spectra
@@ -337,16 +342,28 @@ def test_prove_spectra_rejects_a_wrong_character(monkeypatch):
         monodromy._branch_spectrum.cache_clear()
 
 
-def test_spectral_is_not_exact_when_blocks_come_from_the_certificate():
-    # n = 102 > EXACT_BLOCKS_MAX: the spectrum is exact, but the block size
-    # of the eigenvalue -50 (multiplicity 6) comes from nullities modulo
-    # p1 p2 p3
-    sd = spectral(rep.Tensor((P, P, P)), -10)
-    assert sd.dimension == 102 > monodromy.EXACT_BLOCKS_MAX
-    assert sd.eigen[0] == (-50, 6, 2)
-    assert not sd.exact
-    (key,) = rep.tensor_branches(rep.Tensor((P, P, P)))
-    assert monodromy._branch_spectrum(key, -10)[0] == (-50, 6)
+# spectral as computed with block sizes from the triple-prime certificate
+# above dimension 80, before blocks came from the walk
+CERTIFIED_SPECTRA = {
+    ("P x P x P", -10): (102, ((-50, 6, 2), (-46, 12, 1), (-38, 20, 1), (-26, 28, 1),
+                               (-10, 36, 1))),
+    ("P x P x P", -14): (198, ((-98, 6, 2), (-94, 12, 1), (-86, 20, 1), (-74, 28, 1),
+                               (-58, 36, 1), (-38, 44, 1), (-14, 52, 1))),
+    ("P x P x P", -16): (258, ((-128, 6, 2), (-124, 12, 1), (-116, 20, 1), (-104, 28, 1),
+                               (-88, 36, 1), (-68, 44, 1), (-44, 52, 1), (-16, 60, 1))),
+    ("M10 x M10 x P", -30): (676, tuple((c, 44, 2) for c in (
+        -450, -446, -438, -426, -410, -390, -366, -338, -306, -270, -230)) + (
+        (-186, 45, 1), (-138, 47, 1), (-86, 49, 1), (-30, 51, 1))),
+}
+
+
+def test_spectral_is_exact_where_blocks_came_from_the_certificate():
+    # above dimension 80 the blocks came from nullities modulo p1 p2 p3;
+    # the walk gives the same blocks, proven over Q
+    for (text, w), want in CERTIFIED_SPECTRA.items():
+        sd = spectral(parse_rep(text), w)
+        assert (sd.dimension, sd.eigen) == want
+        assert sd.exact and sd.to_obj()["exact"] is True
 
 
 def test_spectral_sums_branches():
@@ -369,15 +386,19 @@ def _whole_kappa_spectrum(expr, w):
     return n, flat, eigs, exact
 
 
+def _block_size(flat, n, c, m):
+    """Largest Jordan block of c: the smallest s with nullity((kappa - c)^s)
+    = m, by exact rank of the powers of the whole matrix (no walk)."""
+    for s, power in zip(range(1, m + 1), monodromy._int_powers_minus_c(flat, n, c)):
+        if n - linalg.rank_int(power, n) == m:
+            return s
+    raise AssertionError(f"generalized eigenspace of {c} never reached multiplicity {m}")
+
+
 def _whole_kappa_spectral(expr, w):
     """SpectralData from kappa on the undistributed expression."""
     n, flat, eigs, exact = _whole_kappa_spectrum(expr, w)
-    triples = []
-    for c, m in eigs:
-        b, proven = monodromy._block_size(flat, n, c, m)
-        triples.append((c, m, b))
-        exact = exact and proven
-    return n, tuple(triples), exact
+    return n, tuple((c, m, _block_size(flat, n, c, m)) for c, m in eigs), exact
 
 
 def _whole_kappa_trace(expr, l, order):
@@ -405,6 +426,47 @@ def test_spectral_branchwise_matches_whole_kappa(expr, depth):
     assume(0 < len(rep.weight_space(expr, w)) <= 66)
     sd = spectral(expr, w)
     assert (sd.dimension, sd.eigen, sd.exact) == _whole_kappa_spectral(expr, w)
+
+
+@given(EXPR)
+@settings(max_examples=100, deadline=None)
+def test_walk_blocks_match_exact_ranks(expr):
+    # every weight down to 24 below the top where the branch space has
+    # n <= 40: the blocks the walk inherits or decides at a collision are
+    # those of the powers of kappa_flat
+    for key in sorted(rep.tensor_branches(expr)):
+        branch = rep.branch_expr(key)
+        top = sum(t[1] for t in key)
+        for w in range(top, top - 25, -2):
+            basis = rep.weight_space(branch, w)
+            if 0 < len(basis) <= 40:
+                n, flat = rep.kappa_flat(branch, w, basis)
+                got = monodromy._branch_spectrum(key, w)
+                assert got == tuple((c, m, _block_size(flat, n, c, m)) for c, m, _b in got)
+
+
+def test_collisions_both_keep_and_grow_blocks(monkeypatch):
+    # at weight -2 fresh flag pieces meet the carried eigenvalue -2 with a
+    # block of size 1: on M0 x M0 it stays 1, on P x P it grows to 2, and
+    # the rank at the collision is what tells them apart
+    decided = []
+    collision_block = monodromy._collision_block
+
+    def spy(step, back, carried, m):
+        b = collision_block(step, back, carried, m)
+        decided.append((len(back), carried, m, b))
+        return b
+
+    monkeypatch.setattr(monodromy, "_collision_block", spy)
+    monodromy._WALKS.clear()
+    monodromy._branch_spectrum.cache_clear()
+    try:
+        assert spectral(parse_rep("M0 x M0"), -2).eigen == ((-2, 2, 1),)
+        assert spectral(parse_rep("P x P"), -2).eigen == ((-2, 4, 2),)
+    finally:
+        monodromy._WALKS.clear()
+        monodromy._branch_spectrum.cache_clear()
+    assert decided == [(2, 1, 2, 1), (4, 1, 4, 2)]
 
 
 def test_monodromy_matrix_v_jordan():
