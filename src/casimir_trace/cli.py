@@ -498,6 +498,8 @@ def _cmd_verify(args) -> int:
 # argument surface
 
 
+# built once per process: parse_args leaves the parser as it was
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # no prefix matching anywhere, so that an option removed later is refused
     # instead of being taken for one it prefixes (verify --all is not

@@ -5,8 +5,9 @@ integer rank, reduced echelon form, nullspaces, inverses, and dense
 matrix products over Fraction.  Matrices are stored dense but are mostly
 zero (kappa and its powers, and the identity block of an inverse), so
 rref and mat_mul spend Fraction arithmetic only on nonzero entries:
-elimination runs over the pivot row's support.  The heavy modular work
-lives in the modular kernel.
+elimination runs over the pivot row's support.  No module of the package
+calls the modular kernel: kappa's spectra and Jordan blocks come from the
+Verma flag walk in monodromy, which ranks exactly with rank_int.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ The graded-trace driver never builds eigenvectors; algebraic
 multiplicities suffice for traces, so it scales to the large tensor
 products the equality checks need.
 
-Monodromy matrices and flat sections share one exact decomposition of
-kappa per weight space, spectral_components.  It is cached in a bounded
-LRU (a handful of entries: callers ask for the same space back to back),
-and it refuses spaces above COMPONENTS_DIM_MAX before building a matrix.
+On a small weight space the flat section z^(-hbar kappa) is kappa's exact
+Jordan decomposition, and the monodromy matrices expand it: both come from
+spectral_components, which checks the section's ODE once, keeps it in a
+bounded LRU (a handful of entries: callers ask for the same space back to
+back), and refuses spaces above COMPONENTS_DIM_MAX before building a matrix.
 
 Graded traces read kappa's spectra off the character; they build no
 matrix.  kappa = C - h^2/2 with C = ef + fe + h^2/2 the Casimir, and C acts
@@ -99,8 +100,8 @@ from .rep import (
     action_columns,
     branch_dimensions,
     branch_expr,
-    format_index,
     kappa_flat,
+    kappa_matrix,
     tensor_branches,
     weight_space,
 )
@@ -179,24 +180,8 @@ def spectral(expr: ModuleExpr, w: int) -> SpectralData:
 
 
 # ---------------------------------------------------------------------------
-# exact generalized eigenstructure (small spaces): shared by monodromy
-# matrices and flat sections
-
-
-@dataclass(frozen=True)
-class _Components:
-    """Spectral decomposition of one kappa weight-space matrix.
-
-    terms: (c, j, A_cj) with A_c0 the projection onto the generalized
-    c-eigenspace and A_cj = (kappa - c)^j A_c0, in the canonical basis."""
-
-    kappa: tuple[tuple[int, ...], ...]
-    terms: tuple[tuple[int, int, tuple[tuple[Fraction, ...], ...]], ...]
-    blocks: tuple[tuple[int, int, int], ...]  # (c, mult, max block)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.kappa)
+# exact generalized eigenstructure (small spaces): the flat section, read by
+# monodromy matrices too
 
 
 def _outer_sum(cols: list[list[Fraction]], rows: list[list[Fraction]], n: int):
@@ -225,31 +210,29 @@ COMPONENTS_DIM_MAX = 72
 # (expr, w) back to back, so a few entries catch every repeat.  One entry
 # holds 0.12 MB at n = 12, 0.39 MB at n = 38 and 6.5 MB at n = 60 (P x P).
 @lru_cache(maxsize=4)
-def spectral_components(expr: ModuleExpr, w: int) -> tuple[tuple, _Components]:
-    """Exact decomposition kappa = sum_c (c A_c0 + A_c1), proven over Q at
-    any size by exact nullspaces alone.
+def spectral_components(expr: ModuleExpr, w: int) -> FlatSectionExpr:
+    """The flat section on the weight-w space: kappa = sum_c (c A_c0 + A_c1),
+    proven over Q at any size by exact nullspaces and the section's ODE.
 
     For each pair (c, m) the character predicts, some s <= m must give m
-    independent vectors in null((kappa - c)^s).  Generalized eigenspaces of
-    distinct c are independent, so once the m add up to n = dim (the vectors
-    fill the space and the projections A_c0, each built from m of them, sum
-    to the identity), each has dimension exactly m and kappa has no other
-    eigenvalue.  With s_b, r_b the c-block's columns of S (those vectors)
-    and rows of S^-1, A_cj = sum_b ((kappa - c)^j s_b) (x) r_b, and the
-    columns must vanish exactly at the nullspace index.
+    independent vectors in null((kappa - c)^s).  With s_b, r_b the c-block's
+    columns of S (those vectors) and rows of S^-1, A_cj = sum_b
+    ((kappa - c)^j s_b) (x) r_b, and the columns must vanish exactly at the
+    nullspace index.  check_ode proves sum_c A_c0 = I; generalized
+    eigenspaces of distinct c are independent, so each has dimension
+    exactly m and kappa has no other eigenvalue.
 
     Spaces above COMPONENTS_DIM_MAX, by the character's dimension, are
-    refused before any matrix is built.  Results are cached (bounded), so
-    the basis comes back as a tuple and every part of it is immutable."""
+    refused before any matrix is built.  Results are cached (bounded) and
+    immutable."""
     eigs = _predicted_spectrum(tensor_branches(expr), w)
     predicted = sum(m for _c, m in eigs)
     if predicted > COMPONENTS_DIM_MAX:
         raise UnsupportedInputError(
             f"weight space at w={w} has dimension {predicted}; exact monodromy and "
             f"flat sections are limited to dimension {COMPONENTS_DIM_MAX}")
-    basis = weight_space(expr, w)
-    n, flat = kappa_flat(expr, w, basis)
-    kappa = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+    wm = kappa_matrix(expr, w)
+    n, flat = wm.dimension, wm.flat()
     columns: list[list[Fraction]] = []
     spans: list[tuple[int, int, int, int]] = []  # (c, start, size, chain length)
     for c, m in eigs:
@@ -266,7 +249,7 @@ def spectral_components(expr: ModuleExpr, w: int) -> tuple[tuple, _Components]:
         raise InvariantError(
             "generalized eigenspaces do not span; the predicted spectrum is wrong")
     s_inv = linalg.mat_inverse([[columns[j][i] for j in range(n)] for i in range(n)])
-    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in kappa]
+    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in wm.entries]
     terms = []
     for c, start, size, chain in spans:
         cols, rows = columns[start : start + size], s_inv[start : start + size]
@@ -278,12 +261,10 @@ def spectral_components(expr: ModuleExpr, w: int) -> tuple[tuple, _Components]:
         if any(map(any, cols)) or not any(map(any, last)):
             raise InvariantError(
                 f"(kappa - {c})^j does not vanish exactly at the nullspace index {chain}")
-    projections = [mat for _c, j, mat in terms if j == 0]
-    total = [[sum(p[i][k] for p in projections) for k in range(n)] for i in range(n)]
-    if total != linalg.mat_identity(n):
-        raise InvariantError("spectral projections do not sum to the identity")
-    blocks = tuple((c, size, chain) for c, _start, size, chain in spans)
-    return tuple(basis), _Components(kappa=kappa, terms=tuple(terms), blocks=blocks)
+    fs = FlatSectionExpr(weight=w, labels=wm.labels, terms=tuple(terms), kappa=wm.entries)
+    if not fs.check_ode():
+        raise InvariantError("flat section fails its defining ODE")
+    return fs
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +283,6 @@ class QMu:
                 canon[as_frac(e)] = p
         self.terms = canon
 
-    @classmethod
-    def constant(cls, c: Rat) -> "QMu":
-        return cls({Fraction(0): MuPoly.constant(c)})
-
     def __add__(self, other: "QMu") -> "QMu":
         out = dict(self.terms)
         for e, p in other.terms.items():
@@ -319,9 +296,6 @@ class QMu:
                 e = ea + eb
                 out[e] = out.get(e, MuPoly()) + pa * pb
         return QMu(out)
-
-    def scale(self, c: Rat) -> "QMu":
-        return QMu({e: p.scale(c) for e, p in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMu):
@@ -400,47 +374,47 @@ class MonodromyMatrix:
 
 
 def monodromy_matrix(expr: ModuleExpr, w: int, l: int = 1) -> MonodromyMatrix:
-    """exp(-l mu kappa) with the semisimple part written as q-powers."""
+    """exp(-l mu kappa) with the semisimple part written as q-powers: the
+    flat section's sum_c q^(-lc/2) sum_j (-l mu)^j / j! A_cj."""
     if l < 1:
         raise DomainError(f"loop count must be >= 1, got {l}")
-    basis, comp = spectral_components(expr, w)
-    return _monodromy_from_components(expr, basis, comp, w, l)
-
-
-def _monodromy_from_components(expr, basis, comp: _Components, w: int, l: int) -> MonodromyMatrix:
-    n = comp.dimension
-    cells: list[list[dict[Fraction, list[Fraction]]]] = [
-        [dict() for _ in range(n)] for _ in range(n)
-    ]
-    for c, j, mat in comp.terms:
+    fs = spectral_components(expr, w)
+    chains = Counter(c for c, _j, _mat in fs.terms)
+    n = fs.dimension
+    cells: list[list[dict[Fraction, list[Rat]]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for c, j, mat in fs.terms:
         qe = Fraction(-l * c, 2)
         coef = Fraction((-l) ** j, math.factorial(j))
-        for i in range(n):
-            for k in range(n):
-                v = mat[i][k]
+        for i, row in enumerate(mat):
+            for k, v in enumerate(row):
                 if v:
-                    slot = cells[i][k].setdefault(qe, [])
-                    while len(slot) <= j:
-                        slot.append(Fraction(0))
-                    slot[j] += coef * v
+                    cells[i][k].setdefault(qe, [0] * chains[c])[j] = coef * v
     entries = tuple(
         tuple(QMu({e: MuPoly(cs) for e, cs in cell.items()}) for cell in row) for row in cells
     )
-    labels = tuple(format_index(expr, idx) for idx in basis)
-    return MonodromyMatrix(weight=w, loops=l, labels=labels, entries=entries)
+    return MonodromyMatrix(weight=w, loops=l, labels=fs.labels, entries=entries)
 
 
 # ---------------------------------------------------------------------------
 # flat sections
 
 
+def _integral(rows: list[list[tuple[int, Fraction]]]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(d, d times rows) for sparse rational rows, d the least common
+    denominator, so that products of such matrices run on integers."""
+    d = math.lcm(*(x.denominator for row in rows for _k, x in row))
+    return d, [[(k, x.numerator * (d // x.denominator)) for k, x in row] for row in rows]
+
+
 @dataclass(frozen=True)
 class FlatSectionExpr:
-    """Fundamental flat section z^(-hbar kappa) on one weight space.
+    """Fundamental flat section z^(-hbar kappa) on one weight space: kappa's
+    Jordan decomposition.
 
     terms (c, j, A_cj) encode sum_c z^(-c hbar) sum_j (-hbar log z)^j / j! A_cj
-    with A_cj = N_c^j P_c.  Methods verify the defining ODE and the
-    monodromy consistency as exact symbolic identities."""
+    with A_c0 the projection onto the generalized c-eigenspace and
+    A_cj = (kappa - c)^j A_c0.  Methods verify the defining ODE and the
+    monodromy consistency as exact rational matrix identities."""
 
     weight: int
     labels: tuple[str, ...]
@@ -475,39 +449,41 @@ class FlatSectionExpr:
 
     def check_monodromy(self, mono: MonodromyMatrix) -> bool:
         """log z -> log z + 2 pi i on the section equals left multiplication
-        by the one-loop monodromy, term by term in (c, t)."""
+        by the one-loop monodromy: with M_(e,s) the matrix of the q^e mu^s
+        coefficients of mono's entries, M_(e,s) A_ct = (-1)^s/s! A_c(t+s)
+        if e = -c/2, else 0, for every (c, t) and every (e, s) in mono or in
+        the expected value, so every entry of mono is read."""
         if mono.loops != 1:
             raise DomainError("consistency check is stated for the one-loop monodromy")
         n = self.dimension
-        table = {(c, j): mat for c, j, mat in self.terms}
-        keys = sorted(table)
-        for (c, t) in keys:
-            # left side: M . A_ct
-            lhs = []
-            for i in range(n):
-                row = []
-                for k in range(n):
-                    acc = QMu()
-                    for r in range(n):
-                        v = table[(c, t)][r][k]
-                        if v and not mono.entries[i][r].is_zero():
-                            acc = acc + mono.entries[i][r].scale(v)
-                    row.append(acc)
-                lhs.append(row)
-            # right side: q^(-c/2) sum_s (-mu)^s/s! A_c(t+s)
+        if len(mono.entries) != n or any(len(row) != n for row in mono.entries):
+            return False
+        # M_(e,s) by sparse rows: grouped[e, s][i] lists (r, M_(e,s)[i][r])
+        grouped: dict[tuple[Fraction, int], list[list[tuple[int, Fraction]]]] = {}
+        for i, row in enumerate(mono.entries):
+            for r, entry in enumerate(row):
+                for e, p in entry.terms.items():
+                    for s, x in enumerate(p.coeffs):
+                        if x:
+                            grouped.setdefault((e, s), [[] for _ in range(n)])[i].append((r, x))
+        parts = {key: _integral(rows) for key, rows in grouped.items()}
+        table = {(c, j): _integral([[(k, x) for k, x in enumerate(row) if x] for row in mat])
+                 for c, j, mat in self.terms}
+        zero = (1, [()] * n)
+        for (c, t), (d, mat) in table.items():
             qe = Fraction(-c, 2)
-            for i in range(n):
-                for k in range(n):
-                    coeffs: list[Fraction] = []
-                    s = 0
-                    while (c, t + s) in table:
-                        v = table[(c, t + s)][i][k]
-                        while len(coeffs) <= s:
-                            coeffs.append(Fraction(0))
-                        coeffs[s] += Fraction((-1) ** s, math.factorial(s)) * v
-                        s += 1
-                    rhs = QMu({qe: MuPoly(coeffs)})
-                    if lhs[i][k] != rhs:
+            expected = {(qe, j - t) for c2, j in table if c2 == c and j >= t}
+            for e, s in set(parts) | expected:
+                big_d, rows = parts.get((e, s), zero)
+                want_d, want = table.get((c, t + s), zero) if e == qe else zero
+                # (rows / big_d) (mat / d) = (-1)^s/s! want / want_d
+                f = Fraction((-1) ** s * big_d * d, math.factorial(s) * want_d)
+                for i in range(n):
+                    acc: dict[int, int] = {}
+                    for r, x in rows[i]:
+                        for k, y in mat[r]:
+                            acc[k] = acc.get(k, 0) + x * y
+                    if {k: y for k, y in acc.items() if y} != {k: f * y for k, y in want[i]}:
                         return False
         return True
 
@@ -523,12 +499,8 @@ class FlatSectionExpr:
 
 
 def flat_sections(expr: ModuleExpr, w: int) -> FlatSectionExpr:
-    basis, comp = spectral_components(expr, w)
-    labels = tuple(format_index(expr, idx) for idx in basis)
-    fs = FlatSectionExpr(weight=w, labels=labels, terms=comp.terms, kappa=comp.kappa)
-    if not fs.check_ode():
-        raise InvariantError("flat section fails its defining ODE")
-    return fs
+    """The flat section on the weight-w space, ODE-checked and cached."""
+    return spectral_components(expr, w)
 
 
 # ---------------------------------------------------------------------------

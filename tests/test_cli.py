@@ -143,6 +143,18 @@ def test_exit_code_usage_error():
     assert code3 == 2
 
 
+def test_parser_is_built_once_and_still_reports_to_the_redirected_stderr():
+    from casimir_trace import cli
+
+    cli._build_parser.cache_clear()
+    assert run(["character", "--rep", "P", "--order", "2"])[0] == 0
+    code, out, err = run(["character", "--rep", "P", "--bogus"])
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --bogus" in err
+
+
 def test_exit_code_unsupported():
     code, _, err = run(["trace-deformed", "--rep", "L2", "--order", "4"])
     assert code == 3

@@ -1,3 +1,5 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -567,6 +569,59 @@ def test_flat_sections_ode_and_consistency():
         assert fs.check_monodromy(mm)
 
 
+def _bump(mono, i, k, e, s, delta):
+    """mono with delta added to the q^e mu^s coefficient of entry (i, k)."""
+    terms = dict(mono.entries[i][k].terms)
+    coeffs = list(terms.get(e, monodromy.MuPoly()).coeffs)
+    coeffs += [F(0)] * (s + 1 - len(coeffs))
+    coeffs[s] += delta
+    terms[e] = monodromy.MuPoly(coeffs)
+    rows = [list(row) for row in mono.entries]
+    rows[i][k] = monodromy.QMu(terms)
+    return dataclasses.replace(mono, entries=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("expr, w", [(rep.Tensor((M0, P)), -6), (rep.Tensor((P, M0)), -8),
+                                     (rep.Tensor((P, rep.Irr(1))), -9)])
+def test_checks_reject_a_mutated_section_or_matrix(expr, w):
+    fs = flat_sections(expr, w)
+    mono = monodromy_matrix(expr, w, 1)
+    assert fs.check_ode() and fs.check_monodromy(mono)
+    n = fs.dimension
+    table = {(c, j): mat for c, j, mat in fs.terms}
+    (c, _one), = [key for key in table if key[1] == 1]
+    other = next(c2 for c2, _j in table if c2 != c)
+    # one monodromy entry perturbed: an existing q-power, a mu term, a q-power mono lacks
+    for e, s in ((F(-c, 2), 0), (F(-other, 2), 1), (F(1, 4), 0)):
+        assert not fs.check_monodromy(_bump(mono, n - 1, 0, e, s, F(1, 3)))
+    # one chain term A_c1 dropped
+    dropped = dataclasses.replace(fs, terms=tuple(t for t in fs.terms if t[:2] != (c, 1)))
+    assert not dropped.check_ode() and not dropped.check_monodromy(mono)
+    # two eigenvalues' projections swapped
+    swap = {(c, 0): table[other, 0], (other, 0): table[c, 0]}
+    swapped = dataclasses.replace(
+        fs, terms=tuple((c2, j, swap.get((c2, j), mat)) for c2, j, mat in fs.terms))
+    assert not swapped.check_ode() and not swapped.check_monodromy(mono)
+
+
+@given(EXPR, st.integers(0, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_check_monodromy_accepts_the_matrix_and_rejects_one_perturbed_entry(expr, depth, data):
+    w = rep.top_weight(expr) - depth
+    assume(0 < len(rep.weight_space(expr, w)) <= 12)
+    fs = flat_sections(expr, w)
+    assert fs.check_monodromy(monodromy_matrix(expr, w, 1))
+    n = fs.dimension
+    i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    # the q-powers of the section's eigenvalues, and one no eigenvalue gives
+    e = data.draw(st.sampled_from(sorted({F(-c, 2) for c, _j, _m in fs.terms}) + [F(1, 4)]))
+    s = data.draw(st.integers(0, 2))
+    delta = data.draw(st.sampled_from((F(1), F(-2), F(1, 3))))
+    assert not fs.check_monodromy(_bump(monodromy_matrix(expr, w, 1), i, k, e, s, delta))
+    with pytest.raises(DomainError):
+        fs.check_monodromy(monodromy_matrix(expr, w, data.draw(st.integers(2, 3))))
+
+
 def test_flat_sections_projections_sum_to_identity():
     fs = flat_sections(rep.Tensor((M0, M0)), -6)
     n = len(fs.labels)
@@ -579,11 +634,21 @@ def test_flat_sections_projections_sum_to_identity():
     assert total == [[F(1) if i == k else F(0) for k in range(n)] for i in range(n)]
 
 
+def _chains(fs):
+    """{c: chain length}: the number of terms A_cj of each eigenvalue."""
+    return Counter(c for c, _j, _mat in fs.terms)
+
+
 def test_spectral_components_block_structure():
-    _basis, comp = spectral_components(rep.Tensor((M0, M0)), -4)
-    assert comp.dimension == 3
-    got = sorted({(c, m) for c, m, _chain in comp.blocks})
-    assert got == [(-8, 2), (-4, 1)]
+    expr = rep.Tensor((M0, M0))
+    fs = spectral_components(expr, -4)
+    assert fs is flat_sections(expr, -4)
+    assert fs.dimension == 3 and fs.weight == -4
+    assert fs.labels == rep.kappa_matrix(expr, -4).labels
+    # one term per step of each chain, as long as the eigenvalue's largest block
+    eigen = spectral(expr, -4).eigen
+    assert eigen == ((-8, 2, 1), (-4, 1, 1))
+    assert _chains(fs) == {c: b for c, _m, b in eigen}
 
 
 @pytest.mark.parametrize("wrong", [
@@ -625,8 +690,8 @@ def test_spectral_components_cache_returns_what_a_cold_call_does():
         assert outputs(expr, w, cold=False) == cold
         info = spectral_components.cache_info()
         assert (info.misses, info.hits) == (1, 3)
-    basis, comp = spectral_components(P, -6)
-    assert isinstance(basis, tuple) and isinstance(comp.terms, tuple)
+    fs = spectral_components(P, -6)
+    assert all(isinstance(part, tuple) for part in (fs.labels, fs.terms, fs.kappa))
     assert 0 < spectral_components.cache_info().maxsize <= 16
 
 
@@ -641,6 +706,7 @@ def test_spectral_components_refuses_a_space_above_the_budget(monkeypatch):
 
     monkeypatch.setattr(monodromy, "weight_space", no_matrix)
     monkeypatch.setattr(monodromy, "kappa_flat", no_matrix)
+    monkeypatch.setattr(monodromy, "kappa_matrix", no_matrix)
     with pytest.raises(UnsupportedInputError, match="limited to dimension"):
         flat_sections(expr, w)
     with pytest.raises(UnsupportedInputError):
@@ -657,19 +723,22 @@ def _mul(a, b):
 def test_spectral_components_decompose_kappa(expr, depth):
     w = rep.top_weight(expr) - depth
     assume(0 < len(rep.weight_space(expr, w)) <= 12)
-    _basis, comp = spectral_components(expr, w)
+    fs = spectral_components(expr, w)
     kappa = rep.kappa_matrix(expr, w).entries
     n = len(kappa)
-    assert comp.kappa == kappa and comp.dimension == n
-    table = {(c, j): mat for c, j, mat in comp.terms}
+    assert fs.kappa == kappa and fs.dimension == n
+    table = {(c, j): mat for c, j, mat in fs.terms}
     zero = [[0] * n for _ in range(n)]
+    # the blocks are spectral's, and each chain is as long as its largest block
+    eigen = spectral(expr, w).eigen
+    assert _chains(fs) == {c: b for c, _m, b in eigen}
     # kappa = sum_c (c A_c0 + A_c1)
     total = [[sum(c * table[c, 0][i][k] + table.get((c, 1), zero)[i][k]
-                  for c, _m, _b in comp.blocks) for k in range(n)] for i in range(n)]
+                  for c, _m, _b in eigen) for k in range(n)] for i in range(n)]
     assert total == [list(row) for row in kappa]
     # the A_c0 are orthogonal idempotents
-    for c, _m, _b in comp.blocks:
-        for c2, _m2, _b2 in comp.blocks:
+    for c, _m, _b in eigen:
+        for c2, _m2, _b2 in eigen:
             want = table[c, 0] if c == c2 else zero
             assert _mul(table[c, 0], table[c2, 0]) == [list(row) for row in want]
     # A_c(j+1) = (kappa - c) A_cj, down to zero past the last term
