@@ -10,16 +10,19 @@ summed over weight spaces, give the q-series the closed forms predict.
 Everything is exact: integer kappa matrices, integer spectra predicted by
 the character and proven against them by a walk down the Verma flag (see
 _branch_spectrum), Jordan block sizes carried along the same walk, exact
-nullspaces.
+integer nullspaces.
 The graded-trace driver never builds eigenvectors; algebraic
 multiplicities suffice for traces, so it scales to the large tensor
 products the equality checks need.
 
 On a small weight space the flat section z^(-hbar kappa) is kappa's exact
 Jordan decomposition, and the monodromy matrices expand it: both come from
-spectral_components, which checks the section's ODE once, keeps it in a
-bounded LRU (a handful of entries: callers ask for the same space back to
-back), and refuses spaces above COMPONENTS_DIM_MAX before building a matrix.
+spectral_components, which builds the section over the integers (fraction-
+free nullspaces of (kappa - c)^s and S^-1 as B / d, one division per entry
+at the end), checks its ODE once on integer matrices over one common
+denominator, keeps it in a bounded LRU (a handful of entries: callers ask
+for the same space back to back), and refuses spaces above
+COMPONENTS_DIM_MAX before building a matrix.
 
 Graded traces read kappa's spectra off the character; they build no
 matrix.  kappa = C - h^2/2 with C = ef + fe + h^2/2 the Casimir, and C acts
@@ -184,41 +187,50 @@ def spectral(expr: ModuleExpr, w: int) -> SpectralData:
 # monodromy matrices too
 
 
-def _outer_sum(cols: list[list[Fraction]], rows: list[list[Fraction]], n: int):
-    """sum_b cols[b] (x) rows[b] as a frozen n x n matrix."""
+def _outer_sum(cols: list[list[int]], rows: list[list[int]], d: int, n: int):
+    """sum_b cols[b] (x) rows[b] / d as a frozen n x n matrix: the sums run
+    on integers, and each entry is divided by d once."""
+    fracs = {0: Fraction(0)}  # entries repeat: one Fraction per distinct value
     out = []
     for i in range(n):
-        row = [Fraction(0)] * n
+        acc = [0] * n
         for col, r in zip(cols, rows):
             x = col[i]
             if x:
-                for k in range(n):
-                    if r[k]:
-                        row[k] += x * r[k]
-        out.append(tuple(row))
+                acc = [a + x * y for a, y in zip(acc, r)]
+        out.append(tuple([fracs[a] if a in fracs else fracs.setdefault(a, Fraction(a, d))
+                          for a in acc]))
     return tuple(out)
 
 
-# Largest weight space spectral_components decomposes.  The cost depends on
-# the number of distinct eigenvalues as well as the dimension: on a 2-vCPU
-# VM flat_sections takes 12 s on P x P at n = 72 (18 eigenvalues) and 6 s
-# on P x P x P at n = 66 (4 eigenvalues).
+# Largest weight space spectral_components decomposes.  On a 2-vCPU VM a cold
+# flat_sections takes 0.7 s on P x P at n = 72 (18 eigenvalues), and
+# monodromy_matrix 1.0 s more; at n = 96, 1.9 s and 2.3 s.  Time no longer
+# sets the bound: memory and the checks do.  One cached entry holds 3.7 MB
+# at n = 72 and 8.9 MB at n = 96 (13 MB at its peak while it is built;
+# tracemalloc), and check_monodromy, which verify and the tests run on the
+# section, takes 4 s at n = 48 and 16 s at n = 64.
 COMPONENTS_DIM_MAX = 72
 
 
 # monodromy_matrix at several loop counts and flat_sections ask for the same
 # (expr, w) back to back, so a few entries catch every repeat.  One entry
-# holds 0.12 MB at n = 12, 0.39 MB at n = 38 and 6.5 MB at n = 60 (P x P).
+# holds 0.04 MB at n = 12, 2.2 MB at n = 60 and 3.7 MB at n = 72 (P x P).
 @lru_cache(maxsize=4)
 def spectral_components(expr: ModuleExpr, w: int) -> FlatSectionExpr:
     """The flat section on the weight-w space: kappa = sum_c (c A_c0 + A_c1),
     proven over Q at any size by exact nullspaces and the section's ODE.
 
     For each pair (c, m) the character predicts, some s <= m must give m
-    independent vectors in null((kappa - c)^s).  With s_b, r_b the c-block's
-    columns of S (those vectors) and rows of S^-1, A_cj = sum_b
-    ((kappa - c)^j s_b) (x) r_b, and the columns must vanish exactly at the
-    nullspace index.  check_ode proves sum_c A_c0 = I; generalized
+    independent vectors in null((kappa - c)^s): a primitive integer basis,
+    by fraction-free elimination.  S has those vectors as columns and
+    S B = d I (linalg.inverse_int).  With s_b, b_b the c-block's columns of
+    S and rows of B, A_cj = sum_b ((kappa - c)^j s_b) (x) b_b / d: the
+    chain columns stay integer, the sum runs on integers, and each entry is
+    divided by d once.  The columns must vanish exactly at the nullspace
+    index.  A_c0 is the projection onto the generalized c-eigenspace along
+    the others and A_cj = (kappa - c)^j A_c0, so the terms do not depend on
+    the basis chosen.  check_ode proves sum_c A_c0 = I; generalized
     eigenspaces of distinct c are independent, so each has dimension
     exactly m and kappa has no other eigenvalue.
 
@@ -233,11 +245,11 @@ def spectral_components(expr: ModuleExpr, w: int) -> FlatSectionExpr:
             f"flat sections are limited to dimension {COMPONENTS_DIM_MAX}")
     wm = kappa_matrix(expr, w)
     n, flat = wm.dimension, wm.flat()
-    columns: list[list[Fraction]] = []
+    columns: list[list[int]] = []
     spans: list[tuple[int, int, int, int]] = []  # (c, start, size, chain length)
     for c, m in eigs:
         for s, power in zip(range(1, m + 1), _int_powers_minus_c(flat, n, c)):
-            vecs = linalg.nullspace([[Fraction(x) for x in row] for row in power], n)
+            vecs = linalg.nullspace_int(power, n)
             if len(vecs) >= m:
                 break
         else:
@@ -248,13 +260,14 @@ def spectral_components(expr: ModuleExpr, w: int) -> FlatSectionExpr:
     if len(columns) != n:
         raise InvariantError(
             "generalized eigenspaces do not span; the predicted spectrum is wrong")
-    s_inv = linalg.mat_inverse([[columns[j][i] for j in range(n)] for i in range(n)])
+    # S B = d I: the rows of S^-1 are those of B over d
+    d, s_inv = linalg.inverse_int([[columns[j][i] for j in range(n)] for i in range(n)])
     sparse = [[(k, x) for k, x in enumerate(row) if x] for row in wm.entries]
     terms = []
     for c, start, size, chain in spans:
         cols, rows = columns[start : start + size], s_inv[start : start + size]
         for j in range(chain):
-            terms.append((c, j, _outer_sum(cols, rows, n)))
+            terms.append((c, j, _outer_sum(cols, rows, d, n)))
             last = cols
             cols = [[sum(x * v[k] for k, x in sparse[i]) - c * v[i] for i in range(n)]
                     for v in cols]
@@ -425,27 +438,49 @@ class FlatSectionExpr:
     def dimension(self) -> int:
         return len(self.kappa)
 
+    def _well_formed(self) -> bool:
+        """Each (c, j) stored once and every term n x n; the checks read a
+        malformed section as failing, not as an error."""
+        n = self.dimension
+        return (len({(c, j) for c, j, _mat in self.terms}) == len(self.terms)
+                and all(len(mat) == n and all(len(row) == n for row in mat)
+                        for _c, _j, mat in self.terms))
+
     def check_ode(self) -> bool:
         """kappa A_ct = c A_ct + A_c(t+1): the coefficient-wise content of
-        z dPsi/dz + hbar kappa Psi = 0."""
+        z dPsi/dz + hbar kappa Psi = 0, with sum_c A_c0 = I.
+
+        Both are proven exactly on the integer matrices d A_ct, d the least
+        common denominator of every stored entry, with kappa's sparse rows:
+        O(nnz(kappa) n) integer steps per term."""
+        if not self._well_formed():
+            return False
         n = self.dimension
-        table = {(c, j): mat for c, j, mat in self.terms}
-        for (c, t), mat in table.items():
-            nxt = table.get((c, t + 1))
-            for i in range(n):
-                for k in range(n):
-                    lhs = sum(self.kappa[i][r] * mat[r][k] for r in range(n) if self.kappa[i][r])
-                    rhs = c * mat[i][k] + (nxt[i][k] if nxt else 0)
-                    if lhs != rhs:
+        dens = {x.denominator for _c, _j, mat in self.terms for row in mat for x in row}
+        d = math.lcm(*dens)
+        scale = {q: d // q for q in dens}
+        chains: dict[int, dict[int, tuple]] = {}
+        for c, j, mat in self.terms:
+            chains.setdefault(c, {})[j] = mat
+        sparse = [[(r, x) for r, x in enumerate(row) if x] for row in self.kappa]
+        zero = [0] * n
+        total = [zero] * n
+        for c, chain in chains.items():
+            # one eigenvalue's terms scaled at a time
+            scaled = {j: [[x.numerator * scale[x.denominator] for x in row] for row in mat]
+                      for j, mat in chain.items()}
+            for t, mat in scaled.items():
+                nxt = scaled.get(t + 1)
+                for i, krow in enumerate(sparse):
+                    lhs = zero
+                    for r, x in krow:
+                        lhs = [a + x * y for a, y in zip(lhs, mat[r])]
+                    if lhs != [c * a + b for a, b in zip(mat[i], nxt[i] if nxt else zero)]:
                         return False
-        # completeness of the projections
-        total = [[Fraction(0)] * n for _ in range(n)]
-        for (c, t), mat in table.items():
-            if t == 0:
-                for i in range(n):
-                    for k in range(n):
-                        total[i][k] += mat[i][k]
-        return total == linalg.mat_identity(n)
+            if 0 in scaled:
+                total = [[a + b for a, b in zip(x, y)] for x, y in zip(total, scaled[0])]
+        # completeness of the projections: sum_c d A_c0 = d I
+        return all(row == [d * (i == k) for k in range(n)] for i, row in enumerate(total))
 
     def check_monodromy(self, mono: MonodromyMatrix) -> bool:
         """log z -> log z + 2 pi i on the section equals left multiplication
@@ -456,7 +491,8 @@ class FlatSectionExpr:
         if mono.loops != 1:
             raise DomainError("consistency check is stated for the one-loop monodromy")
         n = self.dimension
-        if len(mono.entries) != n or any(len(row) != n for row in mono.entries):
+        if (not self._well_formed() or len(mono.entries) != n
+                or any(len(row) != n for row in mono.entries)):
             return False
         # M_(e,s) by sparse rows: grouped[e, s][i] lists (r, M_(e,s)[i][r])
         grouped: dict[tuple[Fraction, int], list[list[tuple[int, Fraction]]]] = {}

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -114,3 +115,58 @@ def test_rref_of_no_rows_and_of_a_zero_matrix():
     zero = [[F(0)] * 3 for _ in range(2)]
     assert linalg.rref(zero) == (zero, [])
     assert linalg.nullspace(zero, 3) == linalg.mat_identity(3)
+
+
+INT_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))  # about two thirds zero
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    """Mostly-zero integer matrices, some with a common factor in a row."""
+    nrows = draw(st.integers(1, 7))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    cells = draw(st.lists(INT_ENTRY, min_size=nrows * ncols, max_size=nrows * ncols))
+    factors = draw(st.lists(st.sampled_from((1, 1, 2, -3)), min_size=nrows, max_size=nrows))
+    return [[factors[i] * cells[i * ncols + j] for j in range(ncols)] for i in range(nrows)]
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_nullspace_int_is_the_canonical_basis_made_primitive(rows):
+    ncols = len(rows[0])
+    before = [list(r) for r in rows]
+    canonical = linalg.nullspace([[F(x) for x in r] for r in rows], ncols)
+    basis = linalg.nullspace_int(rows, ncols)
+    assert rows == before
+    assert len(basis) == len(canonical)
+    for v, u in zip(basis, canonical):
+        assert all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        # v = k u with k > 0, k read off the first nonzero entries
+        k = F(next(x for x in v if x)) / next(x for x in u if x)
+        assert k > 0 and [F(x) for x in v] == [k * x for x in u]
+
+
+@given(int_matrices(square=True))
+@settings(max_examples=300, deadline=None)
+def test_inverse_int_is_the_inverse_over_its_least_denominator(a):
+    n = len(a)
+    try:
+        inv = linalg.mat_inverse([[F(x) for x in r] for r in a])
+    except InvariantError:
+        with pytest.raises(InvariantError):
+            linalg.inverse_int(a)
+        return
+    d, b = linalg.inverse_int(a)
+    assert d > 0 and all(type(x) is int for row in b for x in row)
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a] == \
+        [[d * (i == j) for j in range(n)] for i in range(n)]
+    assert d == math.lcm(*(x.denominator for row in inv for x in row))
+
+
+def test_integer_routines_on_singular_and_empty_input():
+    with pytest.raises(InvariantError):
+        linalg.inverse_int([[2, 4], [-1, -2]])
+    assert linalg.nullspace_int([[2, 4], [-1, -2]], 2) == [[-2, 1]]
+    assert linalg.nullspace_int([], 2) == [[1, 0], [0, 1]]
+    assert linalg.nullspace_int([[0, 0, 6]], 3) == [[1, 0, 0], [0, 1, 0]]

@@ -602,6 +602,24 @@ def test_checks_reject_a_mutated_section_or_matrix(expr, w):
     swapped = dataclasses.replace(
         fs, terms=tuple((c2, j, swap.get((c2, j), mat)) for c2, j, mat in fs.terms))
     assert not swapped.check_ode() and not swapped.check_monodromy(mono)
+    # one entry of the last row bumped, in a chain term and in a projection:
+    # every row of both identities is read
+    for key in ((c, 1), (other, 0)):
+        last = [list(row) for row in table[key]]
+        last[n - 1][n - 1] += F(1, 3)
+        bumped = dataclasses.replace(fs, terms=tuple(
+            (c2, j, tuple(map(tuple, last)) if (c2, j) == key else mat)
+            for c2, j, mat in fs.terms))
+        assert not bumped.check_ode()
+    # every term of one eigenvalue dropped: the ODE holds, the projections miss I
+    partial = dataclasses.replace(fs, terms=tuple(t for t in fs.terms if t[0] != other))
+    assert not partial.check_ode()
+    # a (c, j) stored twice, and a term one row short: rejected, not raised
+    twice = dataclasses.replace(fs, terms=fs.terms + fs.terms[:1])
+    assert not twice.check_ode() and not twice.check_monodromy(mono)
+    (c0, j0, mat0), *rest = fs.terms
+    short = dataclasses.replace(fs, terms=((c0, j0, mat0[:-1]), *rest))
+    assert not short.check_ode() and not short.check_monodromy(mono)
 
 
 @given(EXPR, st.integers(0, 12), st.data())

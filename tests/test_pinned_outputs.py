@@ -4,8 +4,10 @@ Each digest is the SHA-256 of, joined by NUL: the compact JSON of
 flat_sections(expr, w).to_obj(), of monodromy_matrix(expr, w, l).to_obj()
 for l = 1, 2, 3, and the stdout of ``flat-section --format json`` and
 ``--format plain``.  The spaces are those the exact-monodromy benchmark
-workload decomposes, and P at -2 to -8.  A change to how the decomposition
-is built or stored must leave every digest as it is."""
+workload decomposes, P at -2 to -8, and three larger spaces (n = 24, 32
+and 66) where the nullspace bases and denominators are no longer small.
+A change to how the decomposition is built or stored must leave every
+digest as it is."""
 
 import hashlib
 import io
@@ -34,6 +36,9 @@ PINNED = [
     ("P", -4, "60cb9aaedf62756041cdf9fcac84068bae2812235e3d6d2f3fe425818e14a85a"),
     ("P", -6, "23b3298cf45845c75b1e3b3672d66a8e5f4b3c58069242f7806e8aa2faceb1af"),
     ("P", -8, "5b087fb276769baca420567bf90ff95e8760716f61e89cea3dbcbf7fdf63d4c7"),
+    ("P x P", -12, "930c86f3bf29278f2352177d68c5963d8d24045dc6d6ee426138e04819adbaa6"),
+    ("P x P", -16, "8722bc96ce4776db80d74825bf61f7924c8f203b4879a584a5a52f920986f502"),
+    ("P x P x P", -8, "d0cce5368b2716a8c21f02b034b88b0f63ee33cc5db83c95b414829ff5854c1f"),
 ]
 
 
