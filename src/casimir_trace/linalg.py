@@ -1,27 +1,25 @@
-"""Small exact linear algebra over the integers and rationals.
+"""Small exact linear algebra over the integers, fraction-free.
 
-Only what the representation and monodromy layers need: fraction-free
-integer rank, nullspaces and inverses, and reduced echelon form,
-nullspaces, inverses and dense matrix products over Fraction.  The flat
-section is built on integers: nullspace_int and inverse_int share one
-fraction-free Gauss-Jordan elimination that keeps every row primitive, and
-give a primitive integer nullspace basis and S^-1 as (d, B) with S B = d I.
-The Fraction routines stay for the 2 x 2 Jordan forms and as the tests'
-reference.  Matrices are stored dense but are mostly zero (kappa and its
-powers, and the identity block of an inverse), so the eliminations and
-mat_mul spend arithmetic mostly on nonzero entries: elimination runs over
-the pivot row's support, and the integer one scales a whole row only when
-the pivot does not divide the entry it clears.  No module of the package calls the modular
-kernel: kappa's spectra and Jordan blocks come from the Verma flag walk in
+Only what the representation and monodromy layers need: integer rank,
+and primitive integer nullspaces and inverses.  The flat section is built
+on integers: nullspace_int and inverse_int share one fraction-free
+Gauss-Jordan elimination that keeps every row primitive, and give a
+primitive integer nullspace basis and S^-1 as (d, B) with S B = d I.
+The 2 x 2 Jordan forms need none of it: they are closed-form in
+monodromy.  Matrices are stored dense but are mostly zero (kappa and its
+powers, and the identity block of an inverse), so the eliminations spend
+arithmetic mostly on nonzero entries: Gauss-Jordan runs over the pivot
+row's support, and scales a whole row only when the pivot does not divide
+the entry it clears.  No module of the package calls the modular kernel:
+kappa's spectra and Jordan blocks come from the Verma flag walk in
 monodromy, which ranks exactly with rank_int.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .errors import DomainError, InvariantError
+from .errors import InvariantError
 
 
 def rank_int(rows: list[list[int]], ncols: int | None = None) -> int:
@@ -57,62 +55,6 @@ def rank_int(rows: list[list[int]], ncols: int | None = None) -> int:
         if row == nrows:
             break
     return rank
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column list (Fraction arithmetic)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        prow = m[row]
-        # rows at and below `row` vanish left of col, so the pivot row's
-        # support lies in [col, ncols); zero entries need no arithmetic
-        inv = 1 / prow[col]
-        support = []
-        for c in range(col, ncols):
-            if prow[c]:
-                prow[c] *= inv
-                support.append((c, prow[c]))
-        for r in range(nrows):
-            other = m[r]
-            factor = other[col]
-            if r != row and factor:
-                for c, x in support:
-                    other[c] -= factor * x
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots
-
-
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Canonical nullspace basis (one vector per free column of the RREF)."""
-    if not rows:
-        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    r, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -r[prow][free]
-        basis.append(v)
-    return basis
 
 
 def _gauss_jordan_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -164,8 +106,9 @@ def _gauss_jordan_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]
 
 def nullspace_int(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Primitive integer nullspace basis of an integer matrix: one vector per
-    free column, each the positive multiple of nullspace's canonical vector
-    with content 1."""
+    free column, each the positive multiple of the canonical vector of the
+    reduced echelon form over Q (1 at its free column, 0 at the others) with
+    content 1."""
     m, pivots = _gauss_jordan_int(rows, ncols)
     pivot_set = set(pivots)
     basis = []
@@ -195,35 +138,3 @@ def inverse_int(a: list[list[int]]) -> tuple[int, list[list[int]]]:
     # row i is (p e_i | r_i) with content 1, so r_i / p is in lowest terms
     d = math.lcm(*(m[i][i] for i in range(n)))
     return d, [[x * (d // m[i][i]) for x in m[i][n:]] for i in range(n)]
-
-
-def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    if a and b and len(a[0]) != len(b):
-        raise DomainError("matrix shapes do not compose")
-    n, k = len(a), len(b)
-    p = len(b[0]) if b else 0
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                for j in range(p):
-                    if bt[j]:
-                        oi[j] += x * bt[j]
-    return out
-
-
-def mat_identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a)]
-    r, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise InvariantError("matrix is singular; no inverse")
-    return [row[n:] for row in r[:n]]

@@ -554,6 +554,21 @@ def test_jordan_2x2_distinct_eigenvalues():
     assert j2 == ((F(-2), F(0)), (F(0), F(3)))
 
 
+@pytest.mark.parametrize("mat, s", [
+    # (A - c) with p != 0 for both eigenvalues
+    (((1, 2), (3, 6)), ((F(-2), F(1, 3)), (F(1), F(1)))),
+    # p = 0, r != 0 at c = 2
+    (((2, 0), (4, 7)), ((F(-5, 4), F(0)), (F(1), F(1)))),
+    # first column of A - c zero at c = 3
+    (((3, 1), (0, 5)), ((F(1), F(1, 2)), (F(0), F(1)))),
+])
+def test_jordan_2x2_similarity_is_the_canonical_eigenvector_pair(mat, s):
+    j, got = jordan_2x2(mat)
+    assert got == s
+    assert all(type(x) is Fraction for row in got for x in row)
+    assert j[0][1] == j[1][0] == 0
+
+
 def test_jordan_2x2_rejects_irrational():
     with pytest.raises(UnsupportedInputError):
         jordan_2x2(((0, 2), (1, 0)))
@@ -603,7 +618,8 @@ def test_checks_reject_a_mutated_section_or_matrix(expr, w):
         fs, terms=tuple((c2, j, swap.get((c2, j), mat)) for c2, j, mat in fs.terms))
     assert not swapped.check_ode() and not swapped.check_monodromy(mono)
     # one entry of the last row bumped, in a chain term and in a projection:
-    # every row of both identities is read
+    # every row of both identities is read.  With the matching entry of mono
+    # bumped too, the two agree entry by entry, and only the ODE fails.
     for key in ((c, 1), (other, 0)):
         last = [list(row) for row in table[key]]
         last[n - 1][n - 1] += F(1, 3)
@@ -611,6 +627,9 @@ def test_checks_reject_a_mutated_section_or_matrix(expr, w):
             (c2, j, tuple(map(tuple, last)) if (c2, j) == key else mat)
             for c2, j, mat in fs.terms))
         assert not bumped.check_ode()
+        c2, j = key
+        both = _bump(mono, n - 1, n - 1, F(-c2, 2), j, (-1) ** j * F(1, 3))
+        assert not bumped.check_monodromy(both)
     # every term of one eigenvalue dropped: the ODE holds, the projections miss I
     partial = dataclasses.replace(fs, terms=tuple(t for t in fs.terms if t[0] != other))
     assert not partial.check_ode()
@@ -620,6 +639,16 @@ def test_checks_reject_a_mutated_section_or_matrix(expr, w):
     (c0, j0, mat0), *rest = fs.terms
     short = dataclasses.replace(fs, terms=((c0, j0, mat0[:-1]), *rest))
     assert not short.check_ode() and not short.check_monodromy(mono)
+    # chains with a gap: a zero term past the end of a chain of length 1,
+    # and A_c1 stored as j = 2; both identities hold term by term, but the
+    # entry-by-entry comparison needs whole chains
+    lone = next(c2 for c2, k in _chains(fs).items() if k == 1)
+    zero = tuple((F(0),) * n for _ in range(n))
+    padded = dataclasses.replace(fs, terms=fs.terms + ((lone, 3, zero),))
+    assert not padded.check_ode() and not padded.check_monodromy(mono)
+    relabelled = dataclasses.replace(
+        fs, terms=tuple((c2, 2 if (c2, j) == (c, 1) else j, mat) for c2, j, mat in fs.terms))
+    assert not relabelled.check_ode() and not relabelled.check_monodromy(mono)
 
 
 @given(EXPR, st.integers(0, 12), st.data())

@@ -7,11 +7,16 @@ for l = 1, 2, 3, and the stdout of ``flat-section --format json`` and
 workload decomposes, P at -2 to -8, and three larger spaces (n = 24, 32
 and 66) where the nullspace bases and denominators are no longer small.
 A change to how the decomposition is built or stored must leave every
-digest as it is."""
+digest as it is.
+
+The stdout of ``verify --checks table1 --format json`` is pinned the same
+way, with each report's wall-clock ``seconds`` masked; that check runs
+check_monodromy on the first weight spaces of every table-1 row."""
 
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -58,3 +63,14 @@ def _digest(text: str, w: int) -> str:
 @pytest.mark.parametrize("text, w, digest", PINNED)
 def test_flat_sections_and_monodromy_are_pinned(text, w, digest):
     assert _digest(text, w) == digest
+
+
+TABLE1 = "233e6d856c09dcda247c9569709bdd7ce50a1ca48f1b02fce61eeb5f811e7d61"
+
+
+def test_verify_table1_is_pinned():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["verify", "--checks", "table1", "--format", "json"]) == 0
+    masked = re.sub(r'"seconds":[^,}]*', '"seconds":null', out.getvalue())
+    assert hashlib.sha256(masked.encode()).hexdigest() == TABLE1
