@@ -57,9 +57,10 @@ is injective when -(v+2) is not an eigenvalue already derived, which holds
 at every positive weight; below weight 0 the walk runs up from the bottom
 instead, mirrored (kappa = 2ef - h, e steps).  Where that test passes,
 the new eigenvalue never meets a carried one, so kappa stays
-diagonalizable and its Jordan blocks have size 1.  At every weight a
-caller asks for, the walk also checks kappa_flat against 2 F E + v (or
-2 E F - v) entry by entry.
+diagonalizable and its Jordan blocks have size 1.  _ahead proves
+[e, f] = h on every level the walk passes or a caller asks for; on W_v,
+kappa_v - (2 F_v E_v + v) = [e, f] - h, so that is kappa = 2 F E + v (or
+2 E F - v) entry by entry, with kappa read off the same action of e and f.
 
 The walk carries kappa's largest Jordan block b(c) for every eigenvalue c
 as well.  F_v maps kappa_(v+2) + 2v + 2 on W_(v+2) onto kappa_v on U, and
@@ -73,7 +74,7 @@ of v has size 1; with no
 new flag piece at v, G = F_v G' and b(v) = b'; otherwise, at a collision,
 b' <= b(v) <= b' + 1, and b(v) = b' iff (kappa_v - v)^b' has nullity
 dim G.  So one exact rank per collision decides a block (_collision_block,
-on kappa_v - v = 2 F_v E_v, the operator checked against kappa_flat), and
+on kappa_v - v = 2 F_v E_v, which [e, f] = h on W_v proves), and
 every other block costs nothing.  The walk up from the bottom mirrors the
 rule.  On a branch of finite irreducibles the injectivity test rules out
 collisions, so its blocks all have size 1.
@@ -103,7 +104,6 @@ from .rep import (
     action_columns,
     branch_dimensions,
     branch_expr,
-    kappa_flat,
     kappa_matrix,
     tensor_branches,
     weight_space,
@@ -140,10 +140,12 @@ class SpectralData:
         }
 
 
-def _int_powers_minus_c(flat: list[int], n: int, c: int) -> Iterator[list[list[int]]]:
-    """(kappa - c)^s for s = 1, 2, ...: each power is the one before times
-    (kappa - c), computed only when the next one is asked for."""
-    base = [[flat[i * n + j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
+def _int_powers_minus_c(kappa: tuple[tuple[int, ...], ...],
+                        c: int) -> Iterator[list[list[int]]]:
+    """(kappa - c)^s for s = 1, 2, ... from kappa's rows: each power is the
+    one before times (kappa - c), computed only when the next one is asked for."""
+    n = len(kappa)
+    base = [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(kappa)]
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in base]
     power = base
     while True:
@@ -245,11 +247,11 @@ def spectral_components(expr: ModuleExpr, w: int) -> FlatSectionExpr:
             f"weight space at w={w} has dimension {predicted}; exact monodromy and "
             f"flat sections are limited to dimension {COMPONENTS_DIM_MAX}")
     wm = kappa_matrix(expr, w)
-    n, flat = wm.dimension, wm.flat()
+    n = wm.dimension
     columns: list[list[int]] = []
     spans: list[tuple[int, int, int, int]] = []  # (c, start, size, chain length)
     for c, m in eigs:
-        for s, power in zip(range(1, m + 1), _int_powers_minus_c(flat, n, c)):
+        for s, power in zip(range(1, m + 1), _int_powers_minus_c(wm.entries, c)):
             vecs = linalg.nullspace_int(power, n)
             if len(vecs) >= m:
                 break
@@ -559,11 +561,11 @@ class _Walk:
     the weight space reached, kappa's spectrum there as {c: m} and its
     largest Jordan blocks as {c: b}, the columns of the stepping generator
     into it from the level before (``step``) and of the other generator back
-    (``back``), and whether kappa_flat has been checked against them there
-    (``checked``, once a caller has asked for this weight)."""
+    (``back``), and, once a caller has asked for this weight, the next level
+    as _ahead returns it, with [e, f] = h proven here (``ahead``)."""
 
     __slots__ = ("key", "expr", "sign", "weight", "basis", "spectrum", "blocks", "step", "back",
-                 "checked")
+                 "ahead")
 
     def __init__(self, key: BranchKey, expr: ModuleExpr, sign: int, weight: int, basis: list,
                  spectrum: dict[int, int], step: list[dict[int, int]],
@@ -571,7 +573,7 @@ class _Walk:
         self.key, self.expr, self.sign, self.weight = key, expr, sign, weight
         self.basis, self.spectrum, self.step, self.back = basis, spectrum, step, back
         self.blocks = dict.fromkeys(spectrum, 1)
-        self.checked = False
+        self.ahead = None
 
 
 # Walks between calls, the latest last, so that prove_spectra's consecutive
@@ -580,10 +582,12 @@ class _Walk:
 # times, 159 times the latest, 4 times the fifth latest (conjecture proves F'
 # one level deeper on F's branches) and sometimes once the third latest
 # (spectral on P below where conjecture walked P's branch); none older.
-# Restarting those 5 costs about 21 ms a round, continuing them 5 ms.
-# trace-cli starts 3 walks and continues none; exact-monodromy never walks.
-# A walk holds two bases and sparse e and f: 0.04 MB on the benchmark's
-# spaces, 0.18 MB on L20 x L20 x L20 at 0 (n = 331).
+# On a 2-vCPU VM restarting those 5 costs 15 to 26 ms a round, continuing
+# them 0.3 to 2 ms: a continued walk reuses the look-ahead proven at the
+# level it was last asked for.  trace-cli starts 3 walks and continues none;
+# exact-monodromy never walks.  A walk holds three bases and two levels of
+# sparse e and f (with the look-ahead): 0.07 MB on the benchmark's largest
+# space (n = 66), 0.37 MB on L20 x L20 x L20 at 0 (n = 331; tracemalloc).
 WALKS_MAX = 5
 _WALKS: OrderedDict[BranchKey, _Walk] = OrderedDict()
 
@@ -606,17 +610,38 @@ def _start_walk(key: BranchKey, sign: int) -> _Walk:
     return _Walk(key, expr, sign, sign * top, basis, {top: len(basis)}, [], back)
 
 
+def _ahead(walk: _Walk) -> tuple[list, list[dict[int, int]], list[dict[int, int]]]:
+    """(here, step, back): the basis of the level past the walk's W_u, the
+    stepping generator's columns into it and the other's back, after proving
+    [e, f] = h on W_u: there, kappa = 2 step back + sign u (module docstring)."""
+    sign, u = walk.sign, walk.weight
+    prev = walk.basis
+    here = weight_space(walk.expr, u - 2 * sign)
+    step = action_columns("f" if sign > 0 else "e", walk.expr, prev, here)
+    back = action_columns("e" if sign > 0 else "f", walk.expr, here, prev)
+    for j, col in enumerate(step):
+        # column j of back_v step_v - step_u back_u - sign u, zero when [e, f] = h
+        acc = {j: -sign * u}
+        for i, a in col.items():
+            for r, b in back[i].items():
+                acc[r] = acc.get(r, 0) + a * b
+        for i, a in walk.back[j].items():
+            for r, b in walk.step[i].items():
+                acc[r] = acc.get(r, 0) - a * b
+        if any(acc.values()):
+            raise InvariantError(f"[e, f] != h on the weight {u} space of {walk.expr}")
+    return here, step, back
+
+
 def _step(walk: _Walk) -> None:
     """Moves the walk from W_u to W_v, v = u - 2 sign, after proving that
-    the stepping generator is injective there and that [e, f] = h on W_u."""
+    [e, f] = h on W_u (_ahead) and that the stepping generator is injective
+    there."""
     sign, u = walk.sign, walk.weight
     v = u - 2 * sign
     prev = walk.basis
-    here = weight_space(walk.expr, v)
-    step = action_columns("f" if sign > 0 else "e", walk.expr, prev, here)
-    back = action_columns("e" if sign > 0 else "f", walk.expr, here, prev)
-    finite = _is_finite(walk.key)
-    if finite:
+    here, step, back = walk.ahead or _ahead(walk)
+    if _is_finite(walk.key):
         # back step = (kappa_u + sign u) / 2 on W_u, invertible unless
         # -sign u is an eigenvalue there.  Without it no carried eigenvalue
         # c + sign (u + v) equals the new one, sign v, so kappa stays
@@ -633,17 +658,6 @@ def _step(walk: _Walk) -> None:
                 raise InvariantError(
                     f"f on {walk.expr} at weight {u}: no unit leading entry one level deeper "
                     f"on the Verma leg, so its injectivity is not proven")
-    for j, col in enumerate(step):
-        # column j of back_v step_v - step_u back_u - sign u, zero when [e, f] = h
-        acc = {j: -sign * u}
-        for i, a in col.items():
-            for r, b in back[i].items():
-                acc[r] = acc.get(r, 0) + a * b
-        for i, a in walk.back[j].items():
-            for r, b in walk.step[i].items():
-                acc[r] = acc.get(r, 0) - a * b
-        if any(acc.values()):
-            raise InvariantError(f"[e, f] != h on the weight-{u} space of {walk.expr}")
     shift = sign * (u + v)
     spectrum = {c + shift: m for c, m in walk.spectrum.items()}
     blocks = {c + shift: b for c, b in walk.blocks.items()}
@@ -654,7 +668,7 @@ def _step(walk: _Walk) -> None:
         carried = blocks.get(new)
         blocks[new] = 1 if carried is None else _collision_block(step, back, carried, spectrum[new])
     walk.weight, walk.basis, walk.spectrum, walk.blocks = v, here, spectrum, blocks
-    walk.step, walk.back, walk.checked = step, back, False
+    walk.step, walk.back, walk.ahead = step, back, None
 
 
 def _times(cols: list[dict[int, int]], mat: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -675,8 +689,8 @@ def _collision_block(step: list[dict[int, int]], back: list[dict[int, int]], car
     pieces meet a carried block of size ``carried``: that size or one more,
     and the same size iff (kappa_v - sign v)^carried has nullity m, the
     eigenvalue's multiplicity (module docstring).  kappa_v - sign v is
-    2 step back, the operator _check_kappa compares with kappa_flat, and its
-    powers have the ranks of those of step back."""
+    2 step back, as _ahead proves on W_v before the walk passes or returns
+    it, and its powers have the ranks of those of step back."""
     half = _times(back, step)
     power = half
     for _ in range(carried - 1):
@@ -685,24 +699,6 @@ def _collision_block(step: list[dict[int, int]], back: list[dict[int, int]], car
     # the columns ranked as rows: a matrix and its transpose have one rank
     rows = [[col.get(r, 0) for r in range(n)] for col in power]
     return carried if n - linalg.rank_int(rows, n) == m else carried + 1
-
-
-def _check_kappa(walk: _Walk) -> None:
-    """kappa_flat = 2 step back + sign v on the walk's weight space, entry by
-    entry."""
-    v = walk.weight
-    n, flat = kappa_flat(walk.expr, v, walk.basis)
-    nonzero = 0
-    for j, col in enumerate(_times(walk.back, walk.step)):
-        want = {r: 2 * x for r, x in col.items()}
-        want[j] = want.get(j, 0) + walk.sign * v
-        for r, x in want.items():
-            if flat[r * n + j] != x:
-                raise InvariantError(f"kappa != 2fe + h on the weight-{v} space of {walk.expr}")
-            nonzero += x != 0
-    if nonzero != n * n - flat.count(0):
-        raise InvariantError(f"kappa != 2fe + h on the weight-{v} space of {walk.expr}")
-    walk.checked = True
 
 
 def _walk_to(key: BranchKey, w: int) -> _Walk:
@@ -736,8 +732,8 @@ def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[int, int, int], ...]
         return ()
     predicted = _character_spectra(key, [depth])[0]
     walk = _walk_to(key, w)
-    if not walk.checked:
-        _check_kappa(walk)
+    if walk.ahead is None:
+        walk.ahead = _ahead(walk)
     derived = sorted(walk.spectrum.items())
     if derived != predicted:
         raise InvariantError(f"branch {key} weight {w}: the walk gives {derived}, "
@@ -747,13 +743,14 @@ def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[int, int, int], ...]
 
 def _branch_depth_jobs(key: BranchKey, l: int, order: Fraction) -> list[int]:
     top = sum(t[1] for t in key)
+    bottom = -top if _is_finite(key) else -math.inf  # no finite weight lies below -top
     jobs = []
-    d = 0
+    w = top
     # the floor is increasing once the weight goes negative; before that it
     # can dip, so never cut inside the dip region
-    while top - 2 * d >= 0 or l * _exponent_floor(top, top - 2 * d) < order:
-        jobs.append(d)
-        d += 1
+    while w >= 0 or (w >= bottom and l * _exponent_floor(top, w) < order):
+        jobs.append((top - w) // 2)
+        w -= 2
     return jobs
 
 
@@ -819,14 +816,18 @@ def prove_spectra(expr: ModuleExpr, l: int, order: Rat) -> None:
 
     Visits the same (branch, weight) pairs, through the bounded
     _branch_spectrum cache; raises InvariantError on the first spectrum that
-    kappa contradicts."""
+    kappa contradicts.  The negative weights of a branch of finite
+    irreducibles are visited bottom up, the way _walk_to walks them."""
     if l < 1:
         raise DomainError(f"loop count must be >= 1, got {l}")
     order = as_frac(order)
     for key in sorted(tensor_branches(expr)):
         top = sum(t[1] for t in key)
-        for d in _branch_depth_jobs(key, l, order):
-            _branch_spectrum(key, top - 2 * d)
+        weights = [top - 2 * d for d in _branch_depth_jobs(key, l, order)]
+        if _is_finite(key):
+            weights = [w for w in weights if w >= 0] + sorted(w for w in weights if w < 0)
+        for w in weights:
+            _branch_spectrum(key, w)
 
 
 def trace_series(expr: ModuleExpr, l: int, order: Rat) -> QSeries:

@@ -316,9 +316,6 @@ class WeightMatrix:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def flat(self) -> list[int]:
-        return [e for row in self.entries for e in row]
-
     def to_obj(self) -> dict:
         return {
             "weight": self.weight,

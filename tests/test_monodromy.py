@@ -221,12 +221,12 @@ def test_walk_cache_is_bounded_and_continues_one_walk(monkeypatch):
     monodromy.prove_spectra(expr, 1, F(12))
     (key,) = rep.tensor_branches(expr)
     assert starts == [(key, 1)] and monodromy._WALKS[key].weight < -10
-    # a branch of finite irreducibles walks down to weight 0, then up from
-    # the bottom for each negative weight
+    # a branch of finite irreducibles walks down to weight 0, then once up
+    # from the bottom through its negative weights
     starts.clear()
     finite = (("L", 2), ("L", 2))
     monodromy.prove_spectra(rep.branch_expr(finite), 1, F(12))
-    assert starts == [(finite, 1), (finite, -1), (finite, -1)]
+    assert starts == [(finite, 1), (finite, -1)]
     # the cache keeps the most recent walks, at most WALKS_MAX of them
     keys = [(("M", -lam),) for lam in range(monodromy.WALKS_MAX + 3)]
     for k in keys:
@@ -236,25 +236,27 @@ def test_walk_cache_is_bounded_and_continues_one_walk(monkeypatch):
     monodromy._branch_spectrum.cache_clear()
 
 
-def _bump_kappa(kappa_flat):
-    def bumped(expr, w, basis=None):
-        n, flat = kappa_flat(expr, w, basis)
-        return n, [x + (i == 1) for i, x in enumerate(flat)]
-    return bumped
-
-
-def _bump_e(action_columns):
+def _bump_e(action_columns, into=None):
+    """action_columns with one entry of e raised by 1: on every level, or
+    only from W_(into - 2) into W_into."""
     def bumped(gen, expr, src, tgt):
         cols = action_columns(gen, expr, src, tgt)
-        if gen == "e" and cols and tgt:
+        if gen == "e" and cols and tgt and (
+                into is None or rep.index_weight(expr, src[0]) == into - 2):
             cols[0] = {**cols[0], 0: cols[0].get(0, 0) + 1}
         return cols
     return bumped
 
 
+def _bump_e_into_minus_4(action_columns):
+    # only the look-ahead of the asked level -4 reads e from W_-6: the walk
+    # never steps past -4
+    return _bump_e(action_columns, into=-4)
+
+
 @pytest.mark.parametrize("name, bump, message", [
-    ("kappa_flat", _bump_kappa, "kappa != 2fe"),
     ("action_columns", _bump_e, r"\[e, f\] != h"),
+    ("action_columns", _bump_e_into_minus_4, r"\[e, f\] != h on the weight -4 space"),
 ])
 def test_walk_checks_the_matrices_it_reads(name, bump, message, monkeypatch):
     monkeypatch.setattr(monodromy, name, bump(getattr(monodromy, name)))
@@ -266,6 +268,28 @@ def test_walk_checks_the_matrices_it_reads(name, bump, message, monkeypatch):
     finally:
         monodromy._WALKS.clear()
         monodromy._branch_spectrum.cache_clear()
+
+
+@given(EXPR, st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_walk_operator_is_kappa_flat(expr, depth):
+    # the dense kappa as an oracle for the walk's operator at each asked
+    # level: kappa_flat = 2 step back + sign w entry by entry
+    for key in sorted(rep.tensor_branches(expr)):
+        branch = rep.branch_expr(key)
+        w = sum(t[1] for t in key) - 2 * depth
+        if not 0 < len(rep.weight_space(branch, w)) <= 40:
+            continue
+        monodromy._branch_spectrum.__wrapped__(key, w)  # past the cache: walks to w
+        walk = monodromy._WALKS[key]
+        assert walk.weight == w and walk.ahead is not None
+        n, flat = rep.kappa_flat(branch, w, walk.basis)
+        want = [0] * (n * n)
+        for j, col in enumerate(monodromy._times(walk.back, walk.step)):
+            for r, x in col.items():
+                want[r * n + j] = 2 * x
+            want[j * n + j] += walk.sign * w
+        assert flat == want
 
 
 def test_finite_walk_stops_where_f_may_not_be_injective():
@@ -293,15 +317,15 @@ def test_walk_refuses_a_basis_that_hides_injectivity(monkeypatch):
         monodromy._branch_spectrum.cache_clear()
 
 
-def test_spectral_builds_kappa_once_per_branch(monkeypatch):
-    calls = []
-    kappa_flat = monodromy.kappa_flat
-    monkeypatch.setattr(monodromy, "kappa_flat", lambda *a: calls.append(a[1]) or kappa_flat(*a))
+def test_spectral_builds_no_kappa_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("spectral reads kappa off the walk's sparse e and f")
+
+    monkeypatch.setattr(rep, "kappa_flat", no_matrix)
     monodromy._WALKS.clear()
     monodromy._branch_spectrum.cache_clear()
-    # one branch, an eigenvalue of multiplicity 4: its block size reads kappa
+    # one branch, an eigenvalue of multiplicity 4 with a block of size 2
     assert spectral(parse_rep("P x P"), -14).eigen[0] == (-98, 4, 2)
-    assert calls == [-14]
 
 
 @pytest.mark.parametrize("text, l, order", [
@@ -388,10 +412,12 @@ def _whole_kappa_spectrum(expr, w):
     return n, flat, eigs, exact
 
 
-def _block_size(flat, n, c, m):
+def _block_size(kappa, c, m):
     """Largest Jordan block of c: the smallest s with nullity((kappa - c)^s)
-    = m, by exact rank of the powers of the whole matrix (no walk)."""
-    for s, power in zip(range(1, m + 1), monodromy._int_powers_minus_c(flat, n, c)):
+    = m, by exact rank of the powers of the whole matrix, given by its rows
+    (no walk)."""
+    n = len(kappa)
+    for s, power in zip(range(1, m + 1), monodromy._int_powers_minus_c(kappa, c)):
         if n - linalg.rank_int(power, n) == m:
             return s
     raise AssertionError(f"generalized eigenspace of {c} never reached multiplicity {m}")
@@ -400,7 +426,8 @@ def _block_size(flat, n, c, m):
 def _whole_kappa_spectral(expr, w):
     """SpectralData from kappa on the undistributed expression."""
     n, flat, eigs, exact = _whole_kappa_spectrum(expr, w)
-    return n, tuple((c, m, _block_size(flat, n, c, m)) for c, m in eigs), exact
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    return n, tuple((c, m, _block_size(rows, c, m)) for c, m in eigs), exact
 
 
 def _whole_kappa_trace(expr, l, order):
@@ -440,11 +467,10 @@ def test_walk_blocks_match_exact_ranks(expr):
         branch = rep.branch_expr(key)
         top = sum(t[1] for t in key)
         for w in range(top, top - 25, -2):
-            basis = rep.weight_space(branch, w)
-            if 0 < len(basis) <= 40:
-                n, flat = rep.kappa_flat(branch, w, basis)
+            if 0 < len(rep.weight_space(branch, w)) <= 40:
+                kappa = rep.kappa_matrix(branch, w).entries
                 got = monodromy._branch_spectrum(key, w)
-                assert got == tuple((c, m, _block_size(flat, n, c, m)) for c, m, _b in got)
+                assert got == tuple((c, m, _block_size(kappa, c, m)) for c, m, _b in got)
 
 
 def test_collisions_both_keep_and_grow_blocks(monkeypatch):
@@ -752,7 +778,7 @@ def test_spectral_components_refuses_a_space_above_the_budget(monkeypatch):
         raise AssertionError("the refusal must come before any matrix is built")
 
     monkeypatch.setattr(monodromy, "weight_space", no_matrix)
-    monkeypatch.setattr(monodromy, "kappa_flat", no_matrix)
+    monkeypatch.setattr(rep, "kappa_flat", no_matrix)
     monkeypatch.setattr(monodromy, "kappa_matrix", no_matrix)
     with pytest.raises(UnsupportedInputError, match="limited to dimension"):
         flat_sections(expr, w)
