@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
+from fractions import Fraction
 
 from . import closed_forms, monodromy, rep, verify
 from .closed_forms import AppellLerchParams, ConeWindow
@@ -34,65 +36,38 @@ from .series import BiSeries, QSeries, as_frac, exp_str, rat_str
 # expression parser
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int]] = []
-        self._scan()
+# One match per token after optional whitespace.  The group that matched
+# names the token kind; the last three are the errors.  Numbers are decimal
+# digits (\d), the characters int() reads, so a superscript is unexpected.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<ATOM_M>M-?\d+) | (?P<ATOM_L>L\d+) | (?P<ATOM_P>P) | (?P<NAT>\d+) | (?P<OP>[+x^()])
+  | (?P<M>M) | (?P<L>L) | (?P<BAD>\S))""", re.X)
+_ERRORS = {"M": "expected an integer after 'M'",
+           "L": "expected a non-negative integer after 'L'"}
 
-    def _scan(self):
-        t, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = t[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+x^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch == "M":
-                j = i + 1
-                if j < n and t[j] == "-":
-                    j += 1
-                k = j
-                while k < n and t[k].isdigit():
-                    k += 1
-                if k == j:
-                    raise ParseError("expected an integer after 'M'", i, self.text)
-                self.tokens.append(("ATOM_M", int(t[i + 1 : k]), i))
-                i = k
-                continue
-            if ch == "L":
-                k = i + 1
-                while k < n and t[k].isdigit():
-                    k += 1
-                if k == i + 1:
-                    raise ParseError("expected a non-negative integer after 'L'", i, self.text)
-                self.tokens.append(("ATOM_L", int(t[i + 1 : k]), i))
-                i = k
-                continue
-            if ch == "P":
-                self.tokens.append(("ATOM_P", None, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                k = i
-                while k < n and t[k].isdigit():
-                    k += 1
-                self.tokens.append(("NAT", int(t[i:k]), i))
-                i = k
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i, self.text)
-        self.tokens.append(("END", None, n))
+
+def _scan(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, position) for every token, then END at len(text)."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, i = m[kind], m.start(kind)
+        if kind in _ERRORS:
+            raise ParseError(_ERRORS[kind], i, text)
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {tok!r}", i, text)
+        if kind == "OP":
+            tokens.append((tok, tok, i))
+        else:
+            tokens.append((kind, None if kind == "ATOM_P" else int(tok.lstrip("ML")), i))
+    tokens.append(("END", None, len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _Lexer(text).tokens
+        self.tokens = _scan(text)
         self.i = 0
 
     def peek(self):
@@ -198,34 +173,31 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _coeff_plain(c) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _table(fmt: str, to_obj, rows, title: str, header: str, plain_row, csv_row=None) -> None:
+    """Print one result in the asked format, building only that one: the
+    JSON of ``to_obj()``, or one line per row of ``rows()``, under ``# title``
+    as ``plain_row(*row)`` or under the CSV ``header`` as the fields of
+    ``csv_row(*row)`` (the row itself by default) joined by commas."""
+    if fmt == "json":
+        _emit_json(to_obj())
+    elif fmt == "csv":
+        sys.stdout.write("".join([header + "\n"] + [
+            ",".join(map(str, csv_row(*row) if csv_row else row)) + "\n" for row in rows()]))
+    else:
+        sys.stdout.write("".join([f"# {title}\n"] + [plain_row(*row) + "\n" for row in rows()]))
 
 
 def _emit_qseries(s: QSeries, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(s.to_obj())
-    elif fmt == "csv":
-        sys.stdout.write("exponent,numerator,denominator\n")
-        for e, c in s.items():
-            sys.stdout.write(f"{exp_str(e)},{c.numerator},{c.denominator}\n")
-    else:
-        sys.stdout.write(f"# q-series, exact below order {exp_str(s.order)}\n")
-        for e, c in s.items():
-            sys.stdout.write(f"q^{exp_str(e)}\t{_coeff_plain(c)}\n")
+    _table(fmt, s.to_obj, s.items, f"q-series, exact below order {exp_str(s.order)}",
+           "exponent,numerator,denominator", lambda e, c: f"q^{exp_str(e)}\t{c}",
+           lambda e, c: (exp_str(e), c.numerator, c.denominator))
 
 
 def _emit_biseries(s: BiSeries, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(s.to_obj())
-    elif fmt == "csv":
-        sys.stdout.write("q_exponent,x_exponent,numerator,denominator\n")
-        for (e, k), c in s.items():
-            sys.stdout.write(f"{exp_str(e)},{k},{c.numerator},{c.denominator}\n")
-    else:
-        sys.stdout.write(f"# (q,x)-series, exact below q-order {exp_str(s.q_order)}\n")
-        for (e, k), c in s.items():
-            sys.stdout.write(f"q^{exp_str(e)} x^{k}\t{_coeff_plain(c)}\n")
+    _table(fmt, s.to_obj, s.items, f"(q,x)-series, exact below q-order {exp_str(s.q_order)}",
+           "q_exponent,x_exponent,numerator,denominator",
+           lambda ek, c: f"q^{exp_str(ek[0])} x^{ek[1]}\t{c}",
+           lambda ek, c: (exp_str(ek[0]), ek[1], c.numerator, c.denominator))
 
 
 def _emit_report(report: verify.CheckReport, fmt: str) -> None:
@@ -238,12 +210,10 @@ def _emit_report(report: verify.CheckReport, fmt: str) -> None:
         sys.stdout.write(line + "\n")
 
 
-def _report_exit(report: verify.CheckReport, allow_inconclusive: bool) -> int:
-    if report.status == "pass":
-        return 0
-    if report.status == "inconclusive" and allow_inconclusive:
-        return 0
-    return 1
+def _report_exit(reports, allow_inconclusive: bool = False) -> int:
+    """0 if every report passed (or is inconclusive, where that is allowed), else 1."""
+    ok = ("pass", "inconclusive") if allow_inconclusive else ("pass",)
+    return 0 if all(r.status in ok for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -257,111 +227,78 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _parse_order(text) -> object:
+def _parse_order(text) -> Fraction:
     try:
-        from fractions import Fraction
-
-        return as_frac(Fraction(str(text)))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"expected a rational order like 20 or 7/2, got {text!r}")
 
 
 def _cmd_trace(args) -> int:
     expr = parse_rep(args.rep)
-    series = monodromy.trace_series(expr, args.loops, _parse_order(args.order))
-    _emit_qseries(series, args.format)
+    _emit_qseries(monodromy.trace_series(expr, args.loops, _parse_order(args.order)), args.format)
     return 0
 
 
 def _cmd_trace_deformed(args) -> int:
     expr = parse_rep(args.rep)
-    series = monodromy.trace_deformed(expr, args.loops, _parse_order(args.order))
-    _emit_biseries(series, args.format)
+    _emit_biseries(monodromy.trace_deformed(expr, args.loops, _parse_order(args.order)), args.format)
     return 0
 
 
 def _cmd_closed_form(args) -> int:
     if args.family == "jacobi-theta":
         _emit_qseries(closed_forms.jacobi_theta(args.loops, _parse_order(args.order)), args.format)
-        return 0
-    if args.family == "partial-theta":
+    elif args.family == "partial-theta":
         if not args.kind:
             raise DomainError("--kind is required for --family partial-theta")
         kind = {"M-2": "Mminus2"}.get(args.kind, args.kind)
         _emit_biseries(closed_forms.partial_theta(kind, args.loops, _parse_order(args.order)), args.format)
-        return 0
-    if args.family == "appell-lerch-partial":
-        params = _appell_params(args)
+    elif args.family == "appell-lerch-partial":
+        if args.alphas is None or args.betas is None:
+            raise DomainError("--alphas and --betas are required here")
+        alphas = _int_list(args.alphas)
+        params = AppellLerchParams(alphas, _int_list(args.betas), len(alphas) - 1, args.loops)
         _emit_qseries(closed_forms.partial_appell_lerch(params, _parse_order(args.order)), args.format)
-        return 0
-    window = ConeWindow(args.qmin, args.qmax, args.x2max)
-    cone = closed_forms.appell_lerch_cone(window)
-    if args.format == "json":
-        _emit_json(cone.to_obj())
-    elif args.format == "csv":
-        sys.stdout.write("q_exponent,x1_exponent,x2_exponent,coefficient\n")
-        for (qe, x1, x2), c in cone.terms:
-            sys.stdout.write(f"{qe},{x1},{x2},{c}\n")
     else:
-        sys.stdout.write(
-            f"# cone sum, window q in [{window.q_min},{window.q_max}], x2 <= {window.x2_max}\n")
-        for (qe, x1, x2), c in cone.terms:
-            sys.stdout.write(f"q^{qe} x1^{x1} x2^{x2}\t{c}\n")
+        w = ConeWindow(args.qmin, args.qmax, args.x2max)
+        cone = closed_forms.appell_lerch_cone(w)
+        _table(args.format, cone.to_obj, lambda: cone.terms,
+               f"cone sum, window q in [{w.q_min},{w.q_max}], x2 <= {w.x2_max}",
+               "q_exponent,x1_exponent,x2_exponent,coefficient",
+               lambda e, c: f"q^{e[0]} x1^{e[1]} x2^{e[2]}\t{c}", lambda e, c: (*e, c))
     return 0
-
-
-def _appell_params(args) -> AppellLerchParams:
-    if args.alphas is None or args.betas is None:
-        raise DomainError("--alphas and --betas are required here")
-    alphas = _int_list(args.alphas)
-    betas = _int_list(args.betas)
-    p = args.p if args.p is not None else len(alphas) - 1
-    if p != len(alphas) - 1:
-        raise DomainError(f"--p {p} conflicts with {len(alphas)} alpha entries (need p+1)")
-    return AppellLerchParams(alphas, betas, p, args.loops)
 
 
 def _cmd_character(args) -> int:
     expr = parse_rep(args.rep)
-    ch = rep.character(expr, args.order)
-    if args.format == "json":
-        _emit_json({"depth": args.order, "dimensions": {str(w): d for w, d in sorted(ch.items(), reverse=True)}})
-    elif args.format == "csv":
-        sys.stdout.write("weight,dimension\n")
-        for w, d in sorted(ch.items(), reverse=True):
-            sys.stdout.write(f"{w},{d}\n")
-    else:
+    ch = sorted(rep.character(expr, args.order).items(), reverse=True)
+    if len({w % 2 for w, _d in ch}) > 1:  # branch tops of both parities
         top = rep.top_weight(expr)
-        if len({w % 2 for w in ch}) > 1:  # branch tops of both parities
-            layers = f"weights {top} down to {top - 2 * args.order}"
-        else:
-            layers = f"top {args.order + 1} layers"
-        sys.stdout.write(f"# weight-space dimensions, {layers}\n")
-        for w, d in sorted(ch.items(), reverse=True):
-            sys.stdout.write(f"{w}\t{d}\n")
+        layers = f"weights {top} down to {top - 2 * args.order}"
+    else:
+        layers = f"top {args.order + 1} layers"
+    _table(args.format, lambda: {"depth": args.order, "dimensions": {str(w): d for w, d in ch}},
+           lambda: ch, f"weight-space dimensions, {layers}", "weight,dimension",
+           lambda w, d: f"{w}\t{d}")
     return 0
 
 
 def _cmd_spectral(args) -> int:
-    expr = parse_rep(args.rep)
-    data = monodromy.spectral(expr, args.weight)
-    if args.format == "json":
-        _emit_json(data.to_obj())
-    elif args.format == "csv":
-        sys.stdout.write("eigenvalue,multiplicity,max_block\n")
-        for c, m, b in data.eigen:
-            sys.stdout.write(f"{c},{m},{b}\n")
-    else:
-        sys.stdout.write(
-            f"# kappa spectrum at weight {data.weight}, dimension {data.dimension}\n")
-        for c, m, b in data.eigen:
-            sys.stdout.write(f"value {c}\tmultiplicity {m}\tmax block {b}\n")
+    data = monodromy.spectral(parse_rep(args.rep), args.weight)
+    _table(args.format, data.to_obj, lambda: data.eigen,
+           f"kappa spectrum at weight {data.weight}, dimension {data.dimension}",
+           "eigenvalue,multiplicity,max_block",
+           lambda c, m, b: f"value {c}\tmultiplicity {m}\tmax block {b}")
     return 0
 
 
+def _matrix_plain(mat) -> str:
+    return " ; ".join(" ".join(map(str, row)) for row in mat)
+
+
 def _cmd_jordan(args) -> int:
-    expr = parse_rep(args.rep)
-    wm = rep.kappa_matrix(expr, args.weight)
+    wm = rep.kappa_matrix(parse_rep(args.rep), args.weight)
     if wm.dimension == 1:
         j = ((as_frac(wm.entries[0][0]),),)
         s = ((as_frac(1),),)
@@ -370,51 +307,37 @@ def _cmd_jordan(args) -> int:
     else:
         raise UnsupportedInputError(
             f"jordan is defined for 1x1 and 2x2 weight spaces; dimension is {wm.dimension}")
-    obj = {
-        "weight": wm.weight,
-        "basis": list(wm.labels),
-        "jordan": [[rat_str(x) for x in row] for row in j],
-        "basis_change": [[rat_str(x) for x in row] for row in s],
-    }
     if args.format == "json":
-        _emit_json(obj)
+        _emit_json({
+            "weight": wm.weight,
+            "basis": list(wm.labels),
+            "jordan": [[rat_str(x) for x in row] for row in j],
+            "basis_change": [[rat_str(x) for x in row] for row in s],
+        })
     else:
-        sys.stdout.write(f"# Jordan form at weight {wm.weight} (A = S J S^-1)\n")
-        sys.stdout.write("J = " + " ; ".join(" ".join(_coeff_plain(x) for x in row) for row in j) + "\n")
-        sys.stdout.write("S = " + " ; ".join(" ".join(_coeff_plain(x) for x in row) for row in s) + "\n")
+        sys.stdout.write(f"# Jordan form at weight {wm.weight} (A = S J S^-1)\n"
+                         f"J = {_matrix_plain(j)}\nS = {_matrix_plain(s)}\n")
     return 0
 
 
 def _cmd_flat_section(args) -> int:
-    expr = parse_rep(args.rep)
-    fs = monodromy.flat_sections(expr, args.weight)
+    fs = monodromy.flat_sections(parse_rep(args.rep), args.weight)
     if args.format == "json":
         _emit_json(fs.to_obj())
     else:
         sys.stdout.write(f"# flat section at weight {fs.weight}; terms (c, j) with matrices\n")
         for c, j, mat in fs.terms:
-            sys.stdout.write(f"c={c} j={j}: " + " ; ".join(
-                " ".join(_coeff_plain(x) for x in row) for row in mat) + "\n")
+            sys.stdout.write(f"c={c} j={j}: {_matrix_plain(mat)}\n")
     return 0
 
 
 def _cmd_multiplicities(args) -> int:
-    if args.alphas is None or args.betas is None:
-        raise DomainError("--alphas and --betas are required")
     alphas = _int_list(args.alphas)
-    betas = _int_list(args.betas)
-    p = args.p if args.p is not None else len(alphas) - 1
-    coeffs = closed_forms.verma_multiplicities(alphas, betas, p, int(args.order))
-    if args.format == "json":
-        _emit_json({"p": p, "coefficients": coeffs})
-    elif args.format == "csv":
-        sys.stdout.write("k,a_k\n")
-        for k, a in enumerate(coeffs):
-            sys.stdout.write(f"{k},{a}\n")
-    else:
-        sys.stdout.write(f"# multiplicity coefficients a_k, k = 0..{int(args.order)}\n")
-        for k, a in enumerate(coeffs):
-            sys.stdout.write(f"a_{k}\t{a}\n")
+    p = len(alphas) - 1
+    coeffs = closed_forms.verma_multiplicities(alphas, _int_list(args.betas), p, args.order)
+    _table(args.format, lambda: {"p": p, "coefficients": coeffs}, lambda: enumerate(coeffs),
+           f"multiplicity coefficients a_k, k = 0..{args.order}", "k,a_k",
+           lambda k, a: f"a_{k}\t{a}")
     return 0
 
 
@@ -455,20 +378,14 @@ def _cmd_compare(args) -> int:
     report = verify.compare_routes(f"compare[{pretty(expr)}]", expr, alphas, betas, p,
                                    args.loops, _parse_order(args.order))
     _emit_report(report, args.format)
-    return 0 if report.status == "pass" else 1
+    return _report_exit([report])
 
 
 def _cmd_conjecture(args) -> int:
-    if args.alphas is None or args.betas is None or args.gammas is None:
-        raise DomainError("--alphas, --betas, --gammas are required")
-    alphas = _int_list(args.alphas)
-    betas = _int_list(args.betas)
-    gammas = _int_list(args.gammas)
-    if args.p is not None and args.p != len(alphas) - 1:
-        raise DomainError(f"--p {args.p} conflicts with {len(alphas)} alpha entries")
-    report = verify.test_conjecture1(alphas, betas, gammas, args.loops, _parse_order(args.order))
+    report = verify.test_conjecture1(_int_list(args.alphas), _int_list(args.betas),
+                                     _int_list(args.gammas), args.loops, _parse_order(args.order))
     _emit_report(report, args.format)
-    return 0 if report.status == "pass" else 1
+    return _report_exit([report])
 
 
 def _cmd_zeta_check(args) -> int:
@@ -477,7 +394,7 @@ def _cmd_zeta_check(args) -> int:
         n_max=args.n_max, nodes=args.nodes, tol=args.tol)
     report = verify.zeta_mellin_check(params)
     _emit_report(report, args.format)
-    return _report_exit(report, args.allow_inconclusive)
+    return _report_exit([report], args.allow_inconclusive)
 
 
 def _cmd_verify(args) -> int:
@@ -488,10 +405,7 @@ def _cmd_verify(args) -> int:
     else:
         for r in reports:
             _emit_report(r, "plain")
-    ok = all(
-        r.status == "pass" or (r.status == "inconclusive" and args.allow_inconclusive)
-        for r in reports)
-    return 0 if ok else 1
+    return _report_exit(reports, args.allow_inconclusive)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="partial-theta kind")
     p.add_argument("--alphas", help="comma list, e.g. 1,1")
     p.add_argument("--betas", help="comma list, e.g. 0,1")
-    p.add_argument("--p", type=int, help="pole order (defaults to len(alphas)-1)")
     p.add_argument("--qmin", type=int, default=-4, help="cone window: lowest q exponent")
     p.add_argument("--qmax", type=int, default=4, help="cone window: highest q exponent")
     p.add_argument("--x2max", type=int, default=2, help="cone window: highest x2 exponent")
@@ -554,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=all_formats, default="plain")
     p.set_defaults(fn=_cmd_character)
 
-    p = sub.add_parser("spectral", help="certified kappa spectrum on one weight space")
+    p = sub.add_parser("spectral", help="exact kappa spectrum on one weight space")
     common(p, weight=True)
     p.set_defaults(fn=_cmd_spectral)
 
@@ -569,8 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiplicities", help="Verma multiplicity coefficients a_k")
     p.add_argument("--alphas", required=True)
     p.add_argument("--betas", required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--order", default="10", help="largest k to report")
+    p.add_argument("--order", type=int, default=10, help="largest k to report")
     p.add_argument("--format", choices=all_formats, default="plain")
     p.set_defaults(fn=_cmd_multiplicities)
 
@@ -582,7 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", required=True)
     p.add_argument("--betas", required=True)
     p.add_argument("--gammas", required=True)
-    p.add_argument("--p", type=int)
     p.add_argument("--loops", type=int, default=1)
     p.add_argument("--order", default="20")
     p.add_argument("--format", choices=plain_json, default="plain")

@@ -13,6 +13,14 @@ row's support, and scales a whole row only when the pivot does not divide
 the entry it clears.  No module of the package calls the modular kernel:
 kappa's spectra and Jordan blocks come from the Verma flag walk in
 monodromy, which ranks exactly with rank_int.
+
+rank_int keeps its own forward elimination, although the number of
+_gauss_jordan_int's pivots is the same rank: on the 112 rank calls that
+spectral's collision blocks make on six spaces (up to n = 484, from
+M10 x M10 x P at weight -30) and check_multiplicities makes, rank_int took
+0.15-0.16 s of CPU and counting the pivots 0.75-0.78 s (2 vCPUs, pure
+Python).  Ranking needs no cleared rows above the pivot and no
+primitive rows, only the zeros below it.
 """
 
 from __future__ import annotations

@@ -153,12 +153,6 @@ class QSeries:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, factor: Rat) -> "QSeries":
-        f = as_frac(factor)
-        if not f:
-            return QSeries.zero(self.order)
-        return QSeries({e: c * f for e, c in self.terms.items()}, self.order)
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -390,10 +384,6 @@ class MuPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, c: Rat) -> "MuPoly":
-        return cls((c,))
-
     def degree(self) -> int:
         """-1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -448,10 +438,6 @@ class MuPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return MuPoly(out)
-
-    def scale(self, factor: Rat) -> "MuPoly":
-        f = as_frac(factor)
-        return MuPoly(c * f for c in self.coeffs)
 
     def to_list(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]

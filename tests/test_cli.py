@@ -128,6 +128,22 @@ def test_byte_determinism():
     assert c == d
 
 
+@pytest.mark.parametrize("text, message", [
+    ("M²", "expected an integer after 'M' (column 1"),
+    ("L²", "expected a non-negative integer after 'L' (column 1"),
+    ("P^²", "unexpected character '²' (column 3"),
+])
+def test_superscript_digits_are_a_parse_error(text, message):
+    # numbers are decimal digits, the characters int() reads
+    code, out, err = run(["character", "--rep", text, "--order", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: " + message)
+
+
+def test_other_decimal_digits_parse():
+    assert parse_rep("M\u0663 x P") == parse_rep("M3 x P")  # ARABIC-INDIC DIGIT THREE
+
+
 def test_exit_code_parse_error():
     code, out, err = run(["trace", "--rep", "M0 +", "--order", "4"])
     assert code == 2
@@ -253,7 +269,7 @@ def test_conjecture_cli():
 
 def test_multiplicities_cli():
     code, out, _ = run(["multiplicities", "--alphas", "2,3", "--betas", "1,1",
-                        "--p", "1", "--order", "6", "--format", "json"])
+                        "--order", "6", "--format", "json"])
     assert code == 0
     assert json.loads(out)["coefficients"] == [6, 11, 12, 12, 12, 12, 12]
 
@@ -283,6 +299,15 @@ def test_character_lists_both_parities():
      "unrecognized arguments: --order 5"),
     (["flat-section", "--rep", "P", "--weight", "-2", "--loops", "2", "--order", "5"],
      "unrecognized arguments: --loops 2 --order 5"),
+    (["multiplicities", "--alphas", "2,3", "--betas", "1,1", "--order", "abc"],
+     "invalid int value: 'abc'"),
+    # p is the number of --alphas entries minus one; there is no --p
+    (["multiplicities", "--alphas", "2,3", "--betas", "1,1", "--p", "1"],
+     "unrecognized arguments: --p 1"),
+    (["closed-form", "--family", "appell-lerch-partial", "--alphas", "1,1", "--betas", "0,1",
+      "--p", "1"], "unrecognized arguments: --p 1"),
+    (["conjecture", "--alphas", "1,0", "--betas", "0,0", "--gammas", "0,1", "--p", "1"],
+     "unrecognized arguments: --p 1"),
 ])
 def test_removed_flags_are_refused(argv, message):
     code, out, err = run(argv)
