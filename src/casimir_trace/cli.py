@@ -246,7 +246,28 @@ def _cmd_trace_deformed(args) -> int:
     return 0
 
 
+# The closed-form options each family reads, and the defaults of those with
+# one; an option given to a family that does not read it is refused.
+_SERIES_FAMILIES = ("jacobi-theta", "partial-theta", "appell-lerch-partial")
+_CLOSED_FORM_READERS = {
+    "kind": ("partial-theta",),
+    "alphas": ("appell-lerch-partial",),
+    "betas": ("appell-lerch-partial",),
+    "qmin": ("appell-lerch-cone",),
+    "qmax": ("appell-lerch-cone",),
+    "x2max": ("appell-lerch-cone",),
+    "loops": _SERIES_FAMILIES,
+    "order": _SERIES_FAMILIES,
+}
+_CLOSED_FORM_DEFAULTS = {"qmin": -4, "qmax": 4, "x2max": 2, "loops": 1, "order": "20"}
+
+
 def _cmd_closed_form(args) -> int:
+    for name, families in _CLOSED_FORM_READERS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, _CLOSED_FORM_DEFAULTS.get(name))
+        elif args.family not in families:
+            raise DomainError(f"--{name} does not apply to --family {args.family}")
     if args.family == "jacobi-theta":
         _emit_qseries(closed_forms.jacobi_theta(args.loops, _parse_order(args.order)), args.format)
     elif args.family == "partial-theta":
@@ -452,11 +473,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="partial-theta kind")
     p.add_argument("--alphas", help="comma list, e.g. 1,1")
     p.add_argument("--betas", help="comma list, e.g. 0,1")
-    p.add_argument("--qmin", type=int, default=-4, help="cone window: lowest q exponent")
-    p.add_argument("--qmax", type=int, default=4, help="cone window: highest q exponent")
-    p.add_argument("--x2max", type=int, default=2, help="cone window: highest x2 exponent")
-    p.add_argument("--loops", type=int, default=1)
-    p.add_argument("--order", default="20")
+    p.add_argument("--qmin", type=int, help="cone window: lowest q exponent")
+    p.add_argument("--qmax", type=int, help="cone window: highest q exponent")
+    p.add_argument("--x2max", type=int, help="cone window: highest x2 exponent")
+    p.add_argument("--loops", type=int)
+    p.add_argument("--order")
     p.add_argument("--format", choices=all_formats, default="plain")
     p.set_defaults(fn=_cmd_closed_form)
 

@@ -205,14 +205,29 @@ def _outer_sum(cols: list[list[int]], rows: list[list[int]], d: int, n: int):
     return tuple(out)
 
 
-# Largest weight space spectral_components decomposes.  On a 2-vCPU VM a cold
-# flat_sections takes 0.7 s on P x P at n = 72 (18 eigenvalues), and
-# monodromy_matrix 1.0 s more; at n = 96, 1.9 s and 2.3 s.  Time no longer
-# sets the bound: memory and the checks do.  One cached entry holds 3.7 MB
-# at n = 72 and 8.9 MB at n = 96 (13 MB at its peak while it is built;
-# tracemalloc).  check_monodromy, which verify and the tests run on the
-# section, takes 0.2 s at n = 48, 0.4 s at n = 64 and 0.6 s at n = 72
-# (in-process CPU, section cached, check_ode included).
+def _scaled(mat: tuple[tuple[Fraction, ...], ...], f: Fraction) -> list[list[Fraction]]:
+    """f times each entry of mat: entries repeat, so one product per distinct
+    value."""
+    products: dict[Fraction, Fraction] = {}
+    out = []
+    for row in mat:
+        scaled_row = []
+        for v in row:
+            x = products.get(v)
+            scaled_row.append(products.setdefault(v, f * v) if x is None else x)
+        out.append(scaled_row)
+    return out
+
+
+# Largest weight space spectral_components decomposes.  On P x P, on a
+# 2-vCPU VM with CPython 3.11.7 (in-process CPU, median of 3 processes), a
+# cold flat_sections takes 0.45 s at n = 72 (18 eigenvalues) and 1.2 s at
+# n = 96, and monodromy_matrix 0.15 s and 0.4 s more.  check_monodromy,
+# which verify and the tests run on the section, takes 0.06 s at n = 48,
+# 0.15 s at n = 64, 0.22 s at n = 72 and 0.6 s at n = 96 (section cached,
+# check_ode included).  Time no longer sets the bound: memory does.  One
+# cached entry holds 3.7 MB at n = 72 and 8.9 MB at n = 96 (13 MB at its
+# peak while it is built; tracemalloc).
 COMPONENTS_DIM_MAX = 72
 
 
@@ -298,6 +313,14 @@ class QMu:
             if not p.is_zero():
                 canon[as_frac(e)] = p
         self.terms = canon
+
+    @classmethod
+    def _canonical(cls, terms: dict[Fraction, MuPoly]) -> "QMu":
+        """From terms already canonical: Fraction keys and no zero
+        polynomial.  Nothing is checked; other callers use QMu(...)."""
+        q = object.__new__(cls)
+        q.terms = terms
+        return q
 
     def __add__(self, other: "QMu") -> "QMu":
         out = dict(self.terms)
@@ -395,19 +418,30 @@ def monodromy_matrix(expr: ModuleExpr, w: int, l: int = 1) -> MonodromyMatrix:
     if l < 1:
         raise DomainError(f"loop count must be >= 1, got {l}")
     fs = spectral_components(expr, w)
-    chains = Counter(c for c, _j, _mat in fs.terms)
     n = fs.dimension
-    cells: list[list[dict[Fraction, list[Rat]]]] = [[{} for _ in range(n)] for _ in range(n)]
+    chains: dict[int, dict[int, tuple]] = {}
     for c, j, mat in fs.terms:
-        qe = Fraction(-l * c, 2)
-        coef = Fraction((-l) ** j, math.factorial(j))
-        for i, row in enumerate(mat):
-            for k, v in enumerate(row):
-                if v:
-                    cells[i][k].setdefault(qe, [0] * chains[c])[j] = coef * v
-    entries = tuple(
-        tuple(QMu({e: MuPoly(cs) for e, cs in cell.items()}) for cell in row) for row in cells
-    )
+        chains.setdefault(c, {})[j] = mat
+    cells: list[list[dict[Fraction, MuPoly] | None]] = [[None] * n for _ in range(n)]
+    for c, chain in chains.items():
+        # the exponent of q^(-lc/2), made and hashed once: dict.fromkeys and
+        # dict.update copy its stored hash into each cell
+        q_key = {Fraction(-l * c, 2): None}
+        # the mu^j coefficients: (-l)^j / j! A_cj, and A_c0 as it is
+        mats = [chain[0]] + [_scaled(chain[j], Fraction((-l) ** j, math.factorial(j)))
+                             for j in range(1, len(chain))]
+        for i, cell_row in enumerate(cells):
+            for k, coeffs in enumerate(zip(*[mat[i] for mat in mats])):
+                top = len(coeffs)
+                while top and not coeffs[top - 1]:
+                    top -= 1
+                if top:
+                    term = dict.fromkeys(q_key, MuPoly._canonical(coeffs[:top]))
+                    if cell_row[k] is None:
+                        cell_row[k] = term
+                    else:
+                        cell_row[k].update(term)
+    entries = tuple(tuple(QMu._canonical(cell or {}) for cell in row) for row in cells)
     return MonodromyMatrix(weight=w, loops=l, labels=fs.labels, entries=entries)
 
 
@@ -505,13 +539,22 @@ class FlatSectionExpr:
         if (len(mono.entries) != n or any(len(row) != n for row in mono.entries)
                 or not self.check_ode()):
             return False
-        keyed = [(Fraction(-c, 2), j, Fraction((-1) ** j, math.factorial(j)), mat)
+        keyed = [(c, j, _scaled(mat, Fraction((-1) ** j, math.factorial(j))) if j else mat)
                  for c, j, mat in self.terms]
+        eigenvalue: dict[Fraction, Rat] = {}  # q^e belongs to c = -2e, an int if any
         for i, row in enumerate(mono.entries):
+            rows = [(c, j, mat[i]) for c, j, mat in keyed]
             for k, entry in enumerate(row):
-                want = {(e, j): f * mat[i][k] for e, j, f, mat in keyed if mat[i][k]}
-                got = {(e, s): x for e, p in entry.terms.items()
-                       for s, x in enumerate(p.coeffs) if x}
+                want = {(c, j): r[k] for c, j, r in rows if r[k]}
+                got = {}
+                for e, p in entry.terms.items():
+                    c = eigenvalue.get(e)
+                    if c is None:
+                        c = -2 * e
+                        c = eigenvalue[e] = c.numerator if c.denominator == 1 else c
+                    for s, x in enumerate(p.coeffs):
+                        if x:
+                            got[c, s] = x
                 if got != want:
                     return False
         return True

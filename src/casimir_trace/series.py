@@ -384,6 +384,14 @@ class MuPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _canonical(cls, coeffs: tuple[Fraction, ...]) -> "MuPoly":
+        """From coefficients already canonical: Fractions with no trailing
+        zero.  Nothing is checked; other callers use MuPoly(...)."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     def degree(self) -> int:
         """-1 for the zero polynomial."""
         return len(self.coeffs) - 1

@@ -316,6 +316,28 @@ def test_removed_flags_are_refused(argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["closed-form", "--family", "jacobi-theta", "--kind", "P", "--qmin", "3", "--order", "5"],
+     "--kind"),
+    (["closed-form", "--family", "appell-lerch-partial", "--alphas", "1,1", "--betas", "0,1",
+      "--kind", "P"], "--kind"),
+    (["closed-form", "--family", "partial-theta", "--kind", "P", "--alphas", "1,1"], "--alphas"),
+    (["closed-form", "--family", "jacobi-theta", "--betas", "0,1"], "--betas"),
+    # the cone window's own default, given to another family
+    (["closed-form", "--family", "partial-theta", "--kind", "P", "--qmin", "-4"], "--qmin"),
+    (["closed-form", "--family", "appell-lerch-partial", "--alphas", "1,1", "--betas", "0,1",
+      "--qmax", "6"], "--qmax"),
+    (["closed-form", "--family", "jacobi-theta", "--x2max", "2"], "--x2max"),
+    (["closed-form", "--family", "appell-lerch-cone", "--loops", "5", "--order", "3"], "--loops"),
+    (["closed-form", "--family", "appell-lerch-cone", "--order", "3"], "--order"),
+])
+def test_closed_form_refuses_options_its_family_ignores(argv, option):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert f"{option} does not apply to --family {argv[2]}" in err
+
+
 def test_module_entry_point_runs_once():
     # importing the package must not load the cli module ahead of runpy
     src = Path(__file__).resolve().parents[1] / "src"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from casimir_trace.monodromy import (
     trace_series,
     trace_via_decomposition,
 )
-from casimir_trace.series import QSeries, series_eq
+from casimir_trace.series import MuPoly, QSeries, series_eq
 
 F = Fraction
 M0 = rep.Verma(0)
@@ -513,6 +514,41 @@ def test_monodromy_power_law():
     prod = m1.matmul(m1)
     assert prod.loops == 2
     assert prod.entries == m2.entries
+
+
+def _per_entry_expansion(fs, l):
+    """sum_c q^(-lc/2) sum_j (-l mu)^j / j! A_cj entry by entry: one product
+    per nonzero entry of every term, keyed by q exponent, with QMu and MuPoly
+    normalising what they are given."""
+    chains = Counter(c for c, _j, _mat in fs.terms)
+    n = fs.dimension
+    cells = [[{} for _ in range(n)] for _ in range(n)]
+    for c, j, mat in fs.terms:
+        qe = F(-l * c, 2)
+        coef = F((-l) ** j, math.factorial(j))
+        for i, row in enumerate(mat):
+            for k, v in enumerate(row):
+                if v:
+                    cells[i][k].setdefault(qe, [0] * chains[c])[j] = coef * v
+    return tuple(tuple(monodromy.QMu({e: MuPoly(cs) for e, cs in cell.items()}) for cell in row)
+                 for row in cells)
+
+
+@given(EXPR, st.integers(0, 12), st.sampled_from((1, 2, 3)))
+@settings(max_examples=100, deadline=None)
+def test_monodromy_matrix_matches_a_per_entry_expansion(expr, depth, l):
+    w = rep.top_weight(expr) - depth
+    assume(0 < len(rep.weight_space(expr, w)) <= 24)
+    mono = monodromy_matrix(expr, w, l)
+    assert mono.entries == _per_entry_expansion(flat_sections(expr, w), l)
+    # the parts are canonical, as QMu(...) and MuPoly(...) would leave them:
+    # Fraction keys and coefficients, no zero polynomial, no trailing zero
+    for row in mono.entries:
+        for entry in row:
+            for e, p in entry.terms.items():
+                assert type(e) is F and type(p) is MuPoly
+                assert p.coeffs and p.coeffs[-1]
+                assert all(type(x) is F for x in p.coeffs)
 
 
 def test_monodromy_trace_matches_series():
