@@ -373,15 +373,12 @@ def _factor_counts(factor: rep.ModuleExpr) -> tuple[int, int, int]:
             f"compare handles factors built from M0, M-2, P; found M{factor.lam}")
     if isinstance(factor, rep.BigP):
         return (0, 0, 1)
-    if isinstance(factor, rep.DirectSum):
+    if isinstance(factor, (rep.DirectSum, rep.Power)):
         a = b = g = 0
         for p in factor.parts:
             da, db, dg = _factor_counts(p)
             a, b, g = a + da, b + db, g + dg
         return (a, b, g)
-    if isinstance(factor, rep.Power):
-        a, b, g = _factor_counts(factor.base)
-        return (a * factor.mult, b * factor.mult, g * factor.mult)
     raise UnsupportedInputError(
         "compare handles tensor products of direct sums of M0, M-2, P")
 

@@ -1,26 +1,29 @@
 """Small exact linear algebra over the integers, fraction-free.
 
 Only what the representation and monodromy layers need: integer rank,
-and primitive integer nullspaces and inverses.  The flat section is built
-on integers: nullspace_int and inverse_int share one fraction-free
-Gauss-Jordan elimination that keeps every row primitive, and give a
-primitive integer nullspace basis and S^-1 as (d, B) with S B = d I.
+and primitive integer nullspaces and inverses.  rank_int takes the matrix
+as the sparse {row: entry} columns its callers build (e on a weight space,
+and the powers of kappa_v - v at a collision of the Verma flag walk), and
+keeps one reduced column per leading row.  The flat section is built on
+integers: nullspace_int and inverse_int share one fraction-free
+Gauss-Jordan elimination on dense rows that keeps every row primitive, and
+give a primitive integer nullspace basis and S^-1 as (d, B) with S B = d I.
 The 2 x 2 Jordan forms need none of it: they are closed-form in
-monodromy.  Matrices are stored dense but are mostly zero (kappa and its
-powers, and the identity block of an inverse), so the eliminations spend
-arithmetic mostly on nonzero entries: Gauss-Jordan runs over the pivot
-row's support, and scales a whole row only when the pivot does not divide
-the entry it clears.  No module of the package calls the modular kernel:
+monodromy.  Those rows are mostly zero (kappa and its powers, and the
+identity block of an inverse), so Gauss-Jordan runs over the pivot row's
+support, and scales a whole row only when the pivot does not divide the
+entry it clears.  No module of the package calls the modular kernel:
 kappa's spectra and Jordan blocks come from the Verma flag walk in
 monodromy, which ranks exactly with rank_int.
 
-rank_int keeps its own forward elimination, although the number of
-_gauss_jordan_int's pivots is the same rank: on the 112 rank calls that
-spectral's collision blocks make on six spaces (up to n = 484, from
-M10 x M10 x P at weight -30) and check_multiplicities makes, rank_int took
-0.15-0.16 s of CPU and counting the pivots 0.75-0.78 s (2 vCPUs, pure
-Python).  Ranking needs no cleared rows above the pivot and no
-primitive rows, only the zeros below it.
+rank_int keeps its own elimination, although the number of
+_gauss_jordan_int's pivots is the same rank: on the 135 rank calls that
+spectral makes on six collision-heavy spaces (M10 x M10 x P at weights -30
+and -20, P x P x P at -16 and -14, P x P at -40, (P x P)^6 at -22; up to
+n = 484) and that check_multiplicities makes, rank_int took 0.036-0.039 s
+of CPU and counting the pivots on the same matrices as dense rows
+2.3-2.5 s (2 vCPUs, pure Python).  Ranking needs no cleared entries above
+the pivot, no primitive rows and no dense copy.
 """
 
 from __future__ import annotations
@@ -30,39 +33,38 @@ import math
 from .errors import InvariantError
 
 
-def rank_int(rows: list[list[int]], ncols: int | None = None) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    if nrows == 0:
-        return 0
-    if ncols is None:
-        ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
+def rank_int(cols: list[dict[int, int]]) -> int:
+    """Rank over Q of an integer matrix given as sparse {row: entry} columns.
+
+    Fraction-free column elimination keyed by leading row: each column is
+    reduced by the kept column with its leading (smallest) row until it
+    leads at a row no kept column leads at, and is kept there, or it
+    reduces to zero.  Kept columns lead at distinct rows, so they are
+    independent and their number is the rank."""
+    kept: dict[int, dict[int, int]] = {}
+    for col in cols:
+        v = {r: x for r, x in col.items() if x}
+        while v:
+            lead = min(v)
+            pivot = kept.get(lead)
+            if pivot is None:
+                kept[lead] = v
                 break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pivot_row = m[row][col:ncols]
-        pval = pivot_row[0]
-        for r in range(row + 1, nrows):
-            rval = m[r][col]
-            if rval:
-                new = [a * pval - rval * b for a, b in zip(m[r][col:ncols], pivot_row)]
-                # keep entries small; content removal is safe for rank
-                g = math.gcd(*new)
-                m[r][col:ncols] = [a // g for a in new] if g > 1 else new
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+            g = math.gcd(pivot[lead], v[lead])
+            a, b = pivot[lead] // g, v[lead] // g
+            if a != 1:
+                v = {r: a * x for r, x in v.items()}
+            for r, x in pivot.items():
+                s = v.get(r, 0) - b * x
+                if s:
+                    v[r] = s
+                else:
+                    del v[r]
+            # keep entries small; content removal is safe for rank
+            g = math.gcd(*v.values())
+            if g > 1:
+                v = {r: x // g for r, x in v.items()}
+    return len(kept)
 
 
 def _gauss_jordan_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:

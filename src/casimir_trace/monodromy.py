@@ -733,15 +733,13 @@ def _collision_block(step: list[dict[int, int]], back: list[dict[int, int]], car
     and the same size iff (kappa_v - sign v)^carried has nullity m, the
     eigenvalue's multiplicity (module docstring).  kappa_v - sign v is
     2 step back, as _ahead proves on W_v before the walk passes or returns
-    it, and its powers have the ranks of those of step back."""
+    it, and its powers have the ranks of those of step back.  The power is
+    ranked in the sparse {row: entry} columns that _times builds."""
     half = _times(back, step)
     power = half
     for _ in range(carried - 1):
         power = _times(power, half)
-    n = len(back)
-    # the columns ranked as rows: a matrix and its transpose have one rank
-    rows = [[col.get(r, 0) for r in range(n)] for col in power]
-    return carried if n - linalg.rank_int(rows, n) == m else carried + 1
+    return carried if len(back) - linalg.rank_int(power) == m else carried + 1
 
 
 def _walk_to(key: BranchKey, w: int) -> _Walk:

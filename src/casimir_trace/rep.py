@@ -1,9 +1,11 @@
 """sl2 modules as syntax trees, with exact integer actions on weight spaces.
 
 Atoms are Verma modules M(lam) with basis f^k.v (k >= 0), finite irreducibles
-L(n) with basis f^j.u (0 <= j <= n), and the rank-two indecomposable P, which
-is M(-1) (x) L(1) under the hood.  Direct sums, tensor products, and direct-sum
-multiplicity powers combine them.  Generator actions:
+L(n) with basis f^j.u (0 <= j <= n), and the rank-two indecomposable P.  Direct
+sums, tensor products, and direct-sum multiplicity powers combine them.  Every
+function in this module reads P as the tensor product M(-1) (x) L(1) and M^k
+as the direct sum of k copies of M, through their ``parts``; only equality,
+hashing and repr tell them from what they denote.  Generator actions:
 
     h . f^k v_lam = (lam - 2k) f^k v_lam
     f . f^k v_lam = f^(k+1) v_lam
@@ -22,7 +24,7 @@ The canonical order within a weight space puts deeper earlier legs first
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import DomainError, InvariantError
@@ -51,7 +53,7 @@ class Irr:
 
 @dataclass(frozen=True)
 class BigP:
-    pass
+    parts = (Verma(-1), Irr(1))  # read as this tensor product; not a field
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,15 @@ class Tensor:
 class Power:
     base: "ModuleExpr"
     mult: int
+    parts: tuple = field(init=False, compare=False, repr=False)  # mult copies of base
 
     def __post_init__(self):
         if not isinstance(self.mult, int) or self.mult < 1:
             raise DomainError("direct-sum multiplicity must be a positive integer")
+        object.__setattr__(self, "parts", (self.base,) * self.mult)
 
 
 ModuleExpr = Union[Verma, Irr, BigP, DirectSum, Tensor, Power]
-
-_P_INNER = Tensor((Verma(-1), Irr(1)))
 
 
 def top_weight(expr: ModuleExpr) -> int:
@@ -95,13 +97,9 @@ def top_weight(expr: ModuleExpr) -> int:
         return expr.lam
     if isinstance(expr, Irr):
         return expr.n
-    if isinstance(expr, BigP):
-        return 0
-    if isinstance(expr, DirectSum):
+    if isinstance(expr, (DirectSum, Power)):
         return max(top_weight(p) for p in expr.parts)
-    if isinstance(expr, Power):
-        return top_weight(expr.base)
-    if isinstance(expr, Tensor):
+    if isinstance(expr, (Tensor, BigP)):
         return sum(top_weight(p) for p in expr.parts)
     raise DomainError(f"not a module expression: {expr!r}")
 
@@ -111,14 +109,12 @@ def bottom_weight(expr: ModuleExpr) -> int | None:
     Verma factor, whose weights go down without end."""
     if isinstance(expr, Irr):
         return -expr.n
-    if isinstance(expr, (Verma, BigP)):
+    if isinstance(expr, Verma):
         return None
-    if isinstance(expr, Power):
-        return bottom_weight(expr.base)
     parts = [bottom_weight(p) for p in expr.parts]
     if None in parts:
         return None
-    return min(parts) if isinstance(expr, DirectSum) else sum(parts)
+    return min(parts) if isinstance(expr, (DirectSum, Power)) else sum(parts)
 
 
 def index_weight(expr: ModuleExpr, idx: Index) -> int:
@@ -126,13 +122,10 @@ def index_weight(expr: ModuleExpr, idx: Index) -> int:
         return expr.lam - 2 * idx
     if isinstance(expr, Irr):
         return expr.n - 2 * idx
-    if isinstance(expr, BigP):
-        return index_weight(_P_INNER, idx)
     if isinstance(expr, (DirectSum, Power)):
         branch, inner = idx
-        part = expr.parts[branch] if isinstance(expr, DirectSum) else expr.base
-        return index_weight(part, inner)
-    if isinstance(expr, Tensor):
+        return index_weight(expr.parts[branch], inner)
+    if isinstance(expr, (Tensor, BigP)):
         return sum(index_weight(p, i) for p, i in zip(expr.parts, idx))
     raise DomainError(f"not a module expression: {expr!r}")
 
@@ -149,20 +142,12 @@ def _iter_indices(expr: ModuleExpr, w: int) -> Iterator[Index]:
         if d >= 0 and d % 2 == 0 and d // 2 <= expr.n:
             yield d // 2
         return
-    if isinstance(expr, BigP):
-        yield from _iter_indices(_P_INNER, w)
-        return
-    if isinstance(expr, DirectSum):
+    if isinstance(expr, (DirectSum, Power)):
         for b, part in enumerate(expr.parts):
             for inner in _iter_indices(part, w):
                 yield (b, inner)
         return
-    if isinstance(expr, Power):
-        for b in range(expr.mult):
-            for inner in _iter_indices(expr.base, w):
-                yield (b, inner)
-        return
-    if isinstance(expr, Tensor):
+    if isinstance(expr, (Tensor, BigP)):
         head, rest = expr.parts[0], expr.parts[1:]
         if not rest:
             yield from ((i,) for i in _iter_indices(head, w))
@@ -195,14 +180,9 @@ def _sort_key(expr: ModuleExpr, idx: Index) -> tuple:
     # deeper atom indices first; branch indices ascend
     if isinstance(expr, (Verma, Irr)):
         return (-idx,)
-    if isinstance(expr, BigP):
-        return _sort_key(_P_INNER, idx)
-    if isinstance(expr, DirectSum):
+    if isinstance(expr, (DirectSum, Power)):
         b, inner = idx
         return (b,) + _sort_key(expr.parts[b], inner)
-    if isinstance(expr, Power):
-        b, inner = idx
-        return (b,) + _sort_key(expr.base, inner)
     key: tuple = ()
     for p, i in zip(expr.parts, idx):
         key += _sort_key(p, i)
@@ -224,14 +204,9 @@ def format_index(expr: ModuleExpr, idx: Index) -> str:
         if expr.n == 1:
             return "u(+1)" if idx == 0 else "u(-1)"
         return f"u{expr.n}_{idx}"
-    if isinstance(expr, BigP):
-        return format_index(_P_INNER, idx)
-    if isinstance(expr, DirectSum):
+    if isinstance(expr, (DirectSum, Power)):
         b, inner = idx
         return f"#{b}:{format_index(expr.parts[b], inner)}"
-    if isinstance(expr, Power):
-        b, inner = idx
-        return f"#{b}:{format_index(expr.base, inner)}"
     return " ⊗ ".join(format_index(p, i) for p, i in zip(expr.parts, idx))
 
 
@@ -255,13 +230,10 @@ def act(gen: str, expr: ModuleExpr, idx: Index) -> dict[Index, int]:
             return {j + 1: 1} if j < n else {}
         c = j * (n - j + 1)
         return {j - 1: c} if j > 0 and c else {}
-    if isinstance(expr, BigP):
-        return act(gen, _P_INNER, idx)
     if isinstance(expr, (DirectSum, Power)):
         b, inner = idx
-        part = expr.parts[b] if isinstance(expr, DirectSum) else expr.base
-        return {(b, i): c for i, c in act(gen, part, inner).items()}
-    if isinstance(expr, Tensor):
+        return {(b, i): c for i, c in act(gen, expr.parts[b], inner).items()}
+    if isinstance(expr, (Tensor, BigP)):
         out: dict[Index, int] = {}
         for leg, (p, i) in enumerate(zip(expr.parts, idx)):
             for i2, c in act(gen, p, i).items():
@@ -393,19 +365,14 @@ def tensor_branches(expr: ModuleExpr) -> Counter:
     uses commutativity of the tensor character data only; every consumer
     works per-branch on weight spaces, which are isomorphic under leg
     permutation."""
-    if isinstance(expr, Verma) or isinstance(expr, Irr):
+    if isinstance(expr, (Verma, Irr)):
         return Counter({(_atom_key(expr),): 1})
-    if isinstance(expr, BigP):
-        return Counter({(("L", 1), ("M", -1)): 1})
-    if isinstance(expr, DirectSum):
+    if isinstance(expr, (DirectSum, Power)):
         total: Counter = Counter()
         for p in expr.parts:
             total.update(tensor_branches(p))
         return total
-    if isinstance(expr, Power):
-        inner = tensor_branches(expr.base)
-        return Counter({k: v * expr.mult for k, v in inner.items()})
-    if isinstance(expr, Tensor):
+    if isinstance(expr, (Tensor, BigP)):
         acc: Counter = Counter({(): 1})
         for p in expr.parts:
             nxt: Counter = Counter()
@@ -458,20 +425,6 @@ def action_columns(gen: str, expr: ModuleExpr, src: list[Index],
     return cols
 
 
-def raising_matrix(expr: ModuleExpr, w: int) -> tuple[list[list[int]], int, int]:
-    """Matrix of e from the weight-w space to the weight-(w+2) space.
-
-    Returns (rows, dim_source, dim_target); rows are indexed by the target
-    basis."""
-    src = weight_space(expr, w)
-    tgt = weight_space(expr, w + 2)
-    rows = [[0] * len(src) for _ in tgt]
-    for j, col in enumerate(action_columns("e", expr, src, tgt)):
-        for i, c in col.items():
-            rows[i][j] = c
-    return rows, len(src), len(tgt)
-
-
 def singular_count(expr: ModuleExpr, w: int) -> int:
     """Dimension of the kernel of e on the weight-w space.
 
@@ -481,10 +434,9 @@ def singular_count(expr: ModuleExpr, w: int) -> int:
     total = 0
     for key, mult in tensor_branches(expr).items():
         b = branch_expr(key)
-        rows, dim_src, _ = raising_matrix(b, w)
-        if dim_src == 0:
-            continue
-        total += mult * (dim_src - linalg.rank_int(rows, dim_src))
+        src = weight_space(b, w)
+        cols = action_columns("e", b, src, weight_space(b, w + 2))
+        total += mult * (len(src) - linalg.rank_int(cols))
     return total
 
 

@@ -291,10 +291,6 @@ class BiSeries:
         self.terms = canon
         self.q_order = q_order
 
-    @classmethod
-    def zero(cls, q_order: Rat) -> "BiSeries":
-        return cls((), q_order)
-
     def items(self) -> list[tuple[tuple[Fraction, int], Fraction]]:
         return sorted(self.terms.items())
 
@@ -309,40 +305,6 @@ class BiSeries:
     def __repr__(self) -> str:
         parts = [f"{rat_str(c)}*q^{exp_str(e)}*x^{k}" for (e, k), c in self.items()]
         return f"<{' + '.join(parts) or '0'} + O(q^{exp_str(self.q_order)})>"
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        q_order = min(self.q_order, other.q_order)
-        out = {key: c for key, c in self.terms.items() if key[0] < q_order}
-        for key, c in other.terms.items():
-            if key[0] < q_order:
-                s = out.get(key, Fraction(0)) + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return BiSeries(out, q_order)
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        # x-exponents are >= 0, so only the q-grading constrains the order
-        ma = min(min((e for e, _ in self.terms), default=Fraction(0)), Fraction(0))
-        mb = min(min((e for e, _ in other.terms), default=Fraction(0)), Fraction(0))
-        q_order = min(self.q_order, other.q_order, self.q_order + mb, other.q_order + ma)
-        out: dict[tuple[Fraction, int], Fraction] = {}
-        for (ea, ka), ca in self.terms.items():
-            for (eb, kb), cb in other.terms.items():
-                e = ea + eb
-                if e < q_order:
-                    key = (e, ka + kb)
-                    s = out.get(key, Fraction(0)) + ca * cb
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return BiSeries(out, q_order)
 
     def at_x_one(self) -> QSeries:
         """Forget the x-grading (set x = 1)."""

@@ -68,6 +68,31 @@ def int_matrices(draw, square=False):
     return [[factors[i] * cells[i * ncols + j] for j in range(ncols)] for i in range(nrows)]
 
 
+@st.composite
+def sparse_columns(draw):
+    """(nrows, columns) of a mostly-zero integer matrix as {row: entry}
+    columns, with zero, repeated and multiple columns mixed in."""
+    rows = draw(int_matrices())
+    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+    extra = draw(st.lists(st.tuples(st.integers(0, len(cols) - 1), st.sampled_from((0, 1, -2))),
+                          max_size=3))
+    cols += [{r: k * x for r, x in cols[j].items() if k} for j, k in extra]
+    return len(rows), draw(st.permutations(cols))
+
+
+@given(sparse_columns())
+@settings(max_examples=300, deadline=None)
+def test_rank_int_is_the_pivot_count_of_the_matrix_and_its_transpose(shape):
+    nrows, cols = shape
+    before = [dict(c) for c in cols]
+    dense = [[c.get(r, 0) for c in cols] for r in range(nrows)]
+    rank = len(dense_rref(dense)[1])
+    assert linalg.rank_int(cols) == rank
+    assert cols == before
+    rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    assert linalg.rank_int(rows) == rank
+
+
 @given(int_matrices())
 @settings(max_examples=300, deadline=None)
 def test_nullspace_int_is_the_canonical_basis_made_primitive(rows):
@@ -103,6 +128,8 @@ def test_inverse_int_is_the_inverse_over_its_least_denominator(a):
 
 
 def test_integer_routines_on_singular_and_empty_input():
+    assert linalg.rank_int([]) == 0
+    assert linalg.rank_int([{}, {0: 0}, {2: 3}, {2: -6}]) == 1
     with pytest.raises(InvariantError):
         linalg.inverse_int([[2, 4], [-1, -2]])
     assert linalg.nullspace_int([[2, 4], [-1, -2]], 2) == [[-2, 1]]

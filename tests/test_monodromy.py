@@ -415,11 +415,11 @@ def _whole_kappa_spectrum(expr, w):
 
 def _block_size(kappa, c, m):
     """Largest Jordan block of c: the smallest s with nullity((kappa - c)^s)
-    = m, by exact rank of the powers of the whole matrix, given by its rows
-    (no walk)."""
+    = m, by the Gauss-Jordan nullspace of the powers of the whole matrix,
+    given by its rows (neither the walk nor the rank it uses)."""
     n = len(kappa)
     for s, power in zip(range(1, m + 1), monodromy._int_powers_minus_c(kappa, c)):
-        if n - linalg.rank_int(power, n) == m:
+        if len(linalg.nullspace_int(power, n)) == m:
             return s
     raise AssertionError(f"generalized eigenspace of {c} never reached multiplicity {m}")
 

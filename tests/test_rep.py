@@ -23,6 +23,8 @@ from casimir_trace.rep import (
     top_weight,
     weight_space,
 )
+from test_cli import EXPR as CLI_EXPR
+from test_monodromy import EXPR as MONODROMY_EXPR
 
 M0 = Verma(0)
 Mm2 = Verma(-2)
@@ -184,3 +186,41 @@ def test_canonical_order_is_stable():
     ws2 = weight_space(T, -4)
     assert ws1 == ws2
     assert len(ws1) == 8
+
+
+def desugar(expr):
+    """The expression with P spelled as M(-1) x L(1) and M^k as k summands."""
+    if isinstance(expr, BigP):
+        return Tensor((Verma(-1), Irr(1)))
+    if isinstance(expr, Power):
+        return DirectSum((desugar(expr.base),) * expr.mult)
+    if isinstance(expr, (DirectSum, Tensor)):
+        return type(expr)(tuple(desugar(p) for p in expr.parts))
+    return expr
+
+
+@given(st.one_of(EXPRS, MONODROMY_EXPR, CLI_EXPR))
+@settings(max_examples=200, deadline=None)
+def test_p_and_powers_read_as_what_they_denote(expr):
+    plain = desugar(expr)
+    assert tensor_branches(expr) == tensor_branches(plain)
+    assert top_weight(expr) == top_weight(plain)
+    assert rep.bottom_weight(expr) == rep.bottom_weight(plain)
+    assert character(expr, 3) == character(plain, 3)
+    top = top_weight(expr)
+    for w in range(top, top - 4, -1):
+        basis = weight_space(expr, w)
+        assert basis == weight_space(plain, w)
+        if basis:
+            got, want = kappa_matrix(expr, w), kappa_matrix(plain, w)
+            assert (got.labels, got.entries) == (want.labels, want.entries)
+
+
+def test_p_and_powers_keep_their_own_equality():
+    assert P != Tensor((Verma(-1), Irr(1)))
+    assert Power(M0, 2) != DirectSum((M0, M0))
+    assert Power(M0, 2) == Power(M0, 2) and Power(M0, 2) != Power(M0, 3)
+    assert hash(Power(M0, 2)) == hash(Power(Verma(0), 2))
+    assert repr(Power(M0, 2)) == "Power(base=Verma(lam=0), mult=2)"
+    assert repr(P) == "BigP()"
+    assert len({P, Tensor((Verma(-1), Irr(1))), Power(M0, 2), DirectSum((M0, M0))}) == 4

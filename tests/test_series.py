@@ -170,13 +170,6 @@ def test_biseries_roundtrip_and_specialize():
     assert biseries_eq(b, b, F(9))
 
 
-def test_biseries_mul_tracks_x_grading():
-    a = BiSeries({(F(0), 0): F(1), (F(1), 1): F(1)}, F(4))
-    c = a * a
-    assert c.terms[(F(2), 2)] == 1
-    assert c.terms[(F(1), 1)] == 2
-
-
 def test_mupoly_arithmetic():
     one = MuPoly((F(1),))
     mu = MuPoly((F(0), F(1)))
