@@ -194,7 +194,7 @@ def _emit_qseries(s: QSeries, fmt: str) -> None:
 
 
 def _emit_biseries(s: BiSeries, fmt: str) -> None:
-    _table(fmt, s.to_obj, s.items, f"(q,x)-series, exact below q-order {exp_str(s.q_order)}",
+    _table(fmt, s.to_obj, s.items, f"(q,x)-series, exact below q-order {exp_str(s.order)}",
            "q_exponent,x_exponent,numerator,denominator",
            lambda ek, c: f"q^{exp_str(ek[0])} x^{ek[1]}\t{c}",
            lambda ek, c: (exp_str(ek[0]), ek[1], c.numerator, c.denominator))

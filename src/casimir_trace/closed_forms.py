@@ -70,9 +70,6 @@ class ConeSeries:
     window: ConeWindow
     terms: tuple[tuple[tuple[int, int, int], int], ...]  # ((qexp, x1exp, x2exp), coeff)
 
-    def as_dict(self) -> dict[tuple[int, int, int], int]:
-        return dict(self.terms)
-
     def to_obj(self) -> dict:
         return {
             "variables": ["q", "x1", "x2"],

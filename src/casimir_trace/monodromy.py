@@ -353,11 +353,6 @@ class QMu:
     def mu_free(self) -> bool:
         return all(p.is_constant() for p in self.terms.values())
 
-    def as_qseries(self, order: Rat) -> QSeries:
-        if not self.mu_free():
-            raise InvariantError("q-series projection of a mu-dependent quantity")
-        return QSeries({e: p.constant_term() for e, p in self.terms.items() if e < as_frac(order)}, order)
-
     def to_obj(self) -> list:
         return [[exp_str(e), [rat_str(c) for c in p.coeffs]] for e, p in sorted(self.terms.items())]
 

@@ -5,7 +5,21 @@ exponents whose denominators divide 2, plus an ``order`` N: coefficients at
 exponents < N are exact, nothing is claimed at or beyond N.  Asking a
 question that needs coefficients >= N raises PrecisionError instead of
 answering wrong.  BiSeries adds a non-negative integer x-grading on top of
-the q-grading, MuPoly is a dense polynomial in a nilpotent marker mu.
+the q-grading, keyed by (exponent, x-degree); its ``order`` bounds the
+q-exponent only.  MuPoly is a dense polynomial in a nilpotent marker mu.
+
+The contract is coded in two places, one for each direction:
+
+- building: QSeries and BiSeries share one constructor loop
+  (``_Truncated.__init__``).  It makes exact rationals, allows exponent
+  denominators 1 or 2 only, refuses terms at or past the order, sums
+  repeated keys and drops zero sums; BiSeries adds only its x-degree check.
+  Arithmetic hands it raw terms and lets it merge them.
+- comparing: ``series_diff_witness`` is the one routine that filters terms
+  by order.  It returns the first key, in sorted order, at which two series
+  of one kind differ below a given order, with both coefficients, and
+  raises PrecisionError when that order is past either series' order.
+  ``series_eq`` and ``biseries_eq`` ask whether it finds nothing.
 
 All coefficients are fractions.Fraction; no floating point anywhere.
 """
@@ -13,11 +27,13 @@ All coefficients are fractions.Fraction; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, PrecisionError
 
 Rat = Union[int, Fraction]
+
+_ZERO = Fraction(0)
 
 
 def as_frac(x: Rat) -> Fraction:
@@ -47,27 +63,54 @@ def _check_exponent(e: Fraction) -> None:
         raise DomainError(f"exponent {e} has denominator {e.denominator}; only 1 or 2 allowed")
 
 
-class QSeries:
-    """Truncated sparse series sum c_e q^e, exact below ``order``."""
+class _Truncated:
+    """``terms`` maps each key to a nonzero Fraction, and every key's
+    q-exponent is below ``order``.  Subclasses say what a key is through
+    ``_split(key) -> (canonical key, q-exponent)``."""
 
     __slots__ = ("terms", "order")
 
-    def __init__(self, terms: Mapping[Rat, Rat] | Iterable[tuple[Rat, Rat]] = (), order: Rat = 0):
+    def __init__(self, terms: Mapping | Iterable[tuple] = (), order: Rat = 0):
         order = as_frac(order)
-        canon: dict[Fraction, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
-            e = as_frac(e)
-            c = as_frac(c)
+        split = self._split
+        canon: dict = {}
+        for key, c in terms.items() if isinstance(terms, Mapping) else terms:
+            key, e = split(key)
             _check_exponent(e)
             if e >= order:
                 raise DomainError(f"term q^{e} at or beyond order {order}")
+            c = as_frac(c)
             if c:
-                canon[e] = canon.get(e, Fraction(0)) + c
-                if not canon[e]:
-                    del canon[e]
+                old = canon.get(key)
+                s = c if old is None else old + c
+                if s:
+                    canon[key] = s
+                else:
+                    del canon[key]
         self.terms = canon
         self.order = order
+
+    def items(self) -> list:
+        return sorted(self.terms.items())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.order == other.order and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.order, frozenset(self.terms.items())))
+
+
+class QSeries(_Truncated):
+    """Truncated sparse series sum c_e q^e, exact below ``order``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _split(e: Rat) -> tuple[Fraction, Fraction]:
+        e = as_frac(e)
+        return e, e
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -88,9 +131,6 @@ class QSeries:
         return cls({exponent: coeff}, order)
 
     # -- introspection -------------------------------------------------
-    def items(self) -> list[tuple[Fraction, Fraction]]:
-        return sorted(self.terms.items())
-
     def coeff(self, exponent: Rat) -> Fraction:
         e = as_frac(exponent)
         if e >= self.order:
@@ -100,17 +140,6 @@ class QSeries:
     def min_exponent(self) -> Fraction:
         """Smallest stored exponent; 0 for the zero series."""
         return min(self.terms) if self.terms else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -135,23 +164,8 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        out = {e: c for e, c in self.terms.items() if e < order}
-        for e, c in other.terms.items():
-            if e < order:
-                s = out.get(e, Fraction(0)) + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return QSeries(out, order)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.terms.items()}, self.order)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
+        return QSeries([(e, c) for s in (self, other) for e, c in s.terms.items() if e < order],
+                       order)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -161,17 +175,8 @@ class QSeries:
         ma = min(self.min_exponent(), Fraction(0))
         mb = min(other.min_exponent(), Fraction(0))
         order = min(self.order, other.order, self.order + mb, other.order + ma)
-        out: dict[Fraction, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                if e < order:
-                    s = out.get(e, Fraction(0)) + ca * cb
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
-        return QSeries(out, order)
+        return QSeries([(e, ca * cb) for ea, ca in self.terms.items()
+                        for eb, cb in other.terms.items() if (e := ea + eb) < order], order)
 
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int) or n < 0:
@@ -186,12 +191,6 @@ class QSeries:
         d = as_frac(exponent)
         _check_exponent(d)
         return QSeries({e + d: c for e, c in self.terms.items()}, self.order + d)
-
-    def truncate(self, order: Rat) -> "QSeries":
-        order = as_frac(order)
-        if order > self.order:
-            raise PrecisionError(f"cannot extend order {self.order} to {order}")
-        return QSeries({e: c for e, c in self.terms.items() if e < order}, order)
 
     def substitute_power(self, l: int) -> "QSeries":
         """q -> q^l (l >= 1): exponents and order scale by l."""
@@ -208,41 +207,35 @@ class QSeries:
         }
 
 
-def series_eq(a: QSeries, b: QSeries, order: Rat) -> bool:
-    """Exact term-by-term equality below ``order``.
+def series_diff_witness(a: _Truncated, b: _Truncated, order: Rat) -> tuple | None:
+    """The first key below ``order``, in sorted order, at which two series of
+    one kind differ, as (key, coefficient in a, coefficient in b); None if
+    they agree below ``order``.  A key is an exponent for QSeries and an
+    (exponent, x-degree) pair for BiSeries.
 
-    Raises PrecisionError when either operand is not valid that far; a
+    Raises PrecisionError when ``order`` is past either series' order; a
     truncated series never silently passes for a longer one.
     """
+    if type(a) is not type(b):
+        raise DomainError(f"cannot compare a {type(a).__name__} with a {type(b).__name__}")
     order = as_frac(order)
     if order > a.order or order > b.order:
         raise PrecisionError(
             f"equality to order {order} needs orders >= {order}; "
             f"have {a.order} and {b.order}"
         )
-    for e, c in a.terms.items():
-        if e < order and b.terms.get(e, Fraction(0)) != c:
-            return False
-    for e, c in b.terms.items():
-        if e < order and a.terms.get(e, Fraction(0)) != c:
-            return False
-    return True
+    ta, tb = a.terms, b.terms
+    differ = [key for key in ta.keys() | tb.keys()
+              if ta.get(key, _ZERO) != tb.get(key, _ZERO) and a._split(key)[1] < order]
+    if not differ:
+        return None
+    key = min(differ)
+    return key, ta.get(key, _ZERO), tb.get(key, _ZERO)
 
 
-def series_diff_witness(a: QSeries, b: QSeries, order: Rat) -> tuple[Fraction, Fraction, Fraction] | None:
-    """First differing exponent below order, with both coefficients; None if equal."""
-    order = as_frac(order)
-    if order > a.order or order > b.order:
-        raise PrecisionError("witness search past guaranteed order")
-    exps = sorted(set(a.terms) | set(b.terms))
-    for e in exps:
-        if e >= order:
-            break
-        ca = a.terms.get(e, Fraction(0))
-        cb = b.terms.get(e, Fraction(0))
-        if ca != cb:
-            return (e, ca, cb)
-    return None
+def series_eq(a: QSeries, b: QSeries, order: Rat) -> bool:
+    """Exact term-by-term equality below ``order`` (series_diff_witness)."""
+    return series_diff_witness(a, b, order) is None
 
 
 def geometric(step: Rat, order: Rat) -> QSeries:
@@ -260,79 +253,43 @@ def geometric(step: Rat, order: Rat) -> QSeries:
     return QSeries(terms, order)
 
 
-class BiSeries:
+class BiSeries(_Truncated):
     """Series in q (denominators dividing 2) and x (non-negative integers).
 
     The order contract applies to the q-grading only: exact at every
-    bidegree (e, k) with e < q_order.  x-degrees are unbounded but finite.
+    bidegree (e, k) with e < order.  x-degrees are unbounded but finite.
     """
 
-    __slots__ = ("terms", "q_order")
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[Rat, int], Rat] | Iterable[tuple[tuple[Rat, int], Rat]] = (), q_order: Rat = 0):
-        q_order = as_frac(q_order)
-        canon: dict[tuple[Fraction, int], Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (e, k), c in items:
-            e = as_frac(e)
-            c = as_frac(c)
-            _check_exponent(e)
-            if not isinstance(k, int) or k < 0:
-                raise DomainError(f"x-exponent must be a non-negative integer, got {k}")
-            if e >= q_order:
-                raise DomainError(f"term q^{e} at or beyond q-order {q_order}")
-            if c:
-                key = (e, k)
-                s = canon.get(key, Fraction(0)) + c
-                if s:
-                    canon[key] = s
-                elif key in canon:
-                    del canon[key]
-        self.terms = canon
-        self.q_order = q_order
-
-    def items(self) -> list[tuple[tuple[Fraction, int], Fraction]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.q_order == other.q_order and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.q_order, frozenset(self.terms.items())))
+    @staticmethod
+    def _split(key: tuple[Rat, int]) -> tuple[tuple[Fraction, int], Fraction]:
+        e, k = key
+        if not isinstance(k, int) or k < 0:
+            raise DomainError(f"x-exponent must be a non-negative integer, got {k}")
+        e = as_frac(e)
+        return (e, k), e
 
     def __repr__(self) -> str:
         parts = [f"{rat_str(c)}*q^{exp_str(e)}*x^{k}" for (e, k), c in self.items()]
-        return f"<{' + '.join(parts) or '0'} + O(q^{exp_str(self.q_order)})>"
+        return f"<{' + '.join(parts) or '0'} + O(q^{exp_str(self.order)})>"
 
     def at_x_one(self) -> QSeries:
         """Forget the x-grading (set x = 1)."""
-        out: dict[Fraction, Fraction] = {}
-        for (e, _k), c in self.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return QSeries(out, self.q_order)
+        return QSeries([(e, c) for (e, _k), c in self.terms.items()], self.order)
 
     def to_obj(self) -> dict:
         return {
             "variables": ["q", "x"],
-            "q_order": exp_str(self.q_order),
+            "q_order": exp_str(self.order),
             "terms": [[exp_str(e), str(k), rat_str(c)] for (e, k), c in self.items()],
         }
 
 
-def biseries_eq(a: BiSeries, b: BiSeries, q_order: Rat) -> bool:
-    """Bidegree-exact equality below ``q_order`` in the q-grading."""
-    q_order = as_frac(q_order)
-    if q_order > a.q_order or q_order > b.q_order:
-        raise PrecisionError("bidegree equality requested past guaranteed q-order")
-    for key, c in a.terms.items():
-        if key[0] < q_order and b.terms.get(key, Fraction(0)) != c:
-            return False
-    for key, c in b.terms.items():
-        if key[0] < q_order and a.terms.get(key, Fraction(0)) != c:
-            return False
-    return True
+def biseries_eq(a: BiSeries, b: BiSeries, order: Rat) -> bool:
+    """Bidegree-exact equality below ``order`` in the q-grading
+    (series_diff_witness)."""
+    return series_diff_witness(a, b, order) is None
 
 
 class MuPoly:
@@ -353,10 +310,6 @@ class MuPoly:
         p = object.__new__(cls)
         p.coeffs = coeffs
         return p
-
-    def degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -390,14 +343,6 @@ class MuPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return MuPoly(self.coeff(k) + other.coeff(k) for k in range(n))
 
-    def __neg__(self) -> "MuPoly":
-        return MuPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "MuPoly") -> "MuPoly":
-        if not isinstance(other, MuPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: "MuPoly") -> "MuPoly":
         if not isinstance(other, MuPoly):
             return NotImplemented
@@ -408,6 +353,3 @@ class MuPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return MuPoly(out)
-
-    def to_list(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]

@@ -104,7 +104,7 @@ def test_appell_lerch_param_validation():
 
 def test_cone_window_narrow():
     cone = appell_lerch_cone(ConeWindow(0, 4, 0))
-    assert cone.as_dict() == {
+    assert dict(cone.terms) == {
         (0, 0, 0): 1,
         (1, -1, 0): 1,
         (1, 1, 0): 1,
@@ -125,7 +125,7 @@ def test_cone_window_matches_rational_form():
             if window.q_min <= qe <= window.q_max and v2 <= window.x2_max:
                 key = (qe, v1, v2)
                 expected[key] = expected.get(key, 0) + 1
-    assert cone.as_dict() == expected
+    assert dict(cone.terms) == expected
 
 
 def test_verma_multiplicities_fixed_row():

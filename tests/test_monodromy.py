@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from casimir_trace import kernel, linalg, monodromy, rep
+from casimir_trace import linalg, monodromy, rep
 from casimir_trace.cli import parse_rep
 from casimir_trace.errors import DomainError, InvariantError, UnsupportedInputError
 from casimir_trace.monodromy import (
@@ -157,30 +157,26 @@ def test_character_counts_weight_spaces(expr, depth):
         assert ch.get(w, 0) == len(rep.weight_space(expr, w))
 
 
-def _pairs(triples):
-    """(c, m) of a branch's (c, m, b) triples."""
-    return tuple((c, m) for c, m, _b in triples)
-
-
-def _certified(key, w):
-    """kappa's spectrum on a branch weight space, proven by the independent
-    route: the characteristic polynomial modulo primes (kernel)."""
-    expr = rep.branch_expr(key)
-    n, flat = rep.kappa_flat(expr, w)
-    predicted = monodromy._character_spectra(key, [(sum(t[1] for t in key) - w) // 2])[0]
-    eigs, exact = kernel.integer_spectrum(flat, n, predicted)
-    assert exact
-    return tuple(eigs)
+def _section_spectrum(expr, w):
+    """kappa's spectrum on the weight-w space as sorted (c, m, b), proven by
+    the route that does not walk: spectral_components finds the generalized
+    eigenspaces as integer nullspaces of kappa's powers and proves them
+    complete by the flat section's ODE.  m is the trace of the projection
+    A_c0 and b the length of c's chain A_c0, A_c1, ..."""
+    fs = spectral_components(expr, w)
+    blocks = Counter(c for c, _j, _mat in fs.terms)
+    return tuple(sorted((c, sum(mat[i][i] for i in range(fs.dimension)), blocks[c])
+                        for c, j, mat in fs.terms if j == 0))
 
 
 @given(EXPR, st.integers(0, 12))
 @settings(max_examples=100, deadline=None)
-def test_verma_flag_walk_matches_the_charpoly_certificate(expr, depth):
+def test_verma_flag_walk_matches_the_flat_section(expr, depth):
     for key in sorted(rep.tensor_branches(expr)):
         w = sum(t[1] for t in key) - 2 * depth
         n = len(rep.weight_space(rep.branch_expr(key), w))
         if 0 < n <= 40:
-            assert _pairs(monodromy._branch_spectrum(key, w)) == _certified(key, w)
+            assert monodromy._branch_spectrum(key, w) == _section_spectrum(rep.branch_expr(key), w)
 
 
 @pytest.mark.parametrize("key", [(("L", 2), ("L", 3)), (("L", 1), ("L", 1), ("L", 4)),
@@ -189,7 +185,7 @@ def test_finite_branch_spectrum_at_negative_weights(key, monkeypatch):
     top = sum(t[1] for t in key)
     monodromy._branch_spectrum.cache_clear()
     for w in range(top, -top - 1, -2):
-        assert _pairs(monodromy._branch_spectrum(key, w)) == _certified(key, w)
+        assert monodromy._branch_spectrum(key, w) == _section_spectrum(rep.branch_expr(key), w)
     # below the bottom weight the space is zero
     assert monodromy._branch_spectrum(key, -top - 2) == ()
     character_spectra = monodromy._character_spectra
@@ -404,15 +400,6 @@ def test_spectral_sums_branches():
         spectral(parse_rep("M0 + M-2"), 1)
 
 
-def _whole_kappa_spectrum(expr, w):
-    """kappa on the undistributed expression, with its spectrum proven
-    against the character's prediction: (n, entries, spectrum, exact)."""
-    n, flat = rep.kappa_flat(expr, w)
-    predicted = monodromy._predicted_spectrum(rep.tensor_branches(expr), w)
-    eigs, exact = kernel.integer_spectrum(flat, n, predicted)
-    return n, flat, eigs, exact
-
-
 def _block_size(kappa, c, m):
     """Largest Jordan block of c: the smallest s with nullity((kappa - c)^s)
     = m, by the Gauss-Jordan nullspace of the powers of the whole matrix,
@@ -424,15 +411,8 @@ def _block_size(kappa, c, m):
     raise AssertionError(f"generalized eigenspace of {c} never reached multiplicity {m}")
 
 
-def _whole_kappa_spectral(expr, w):
-    """SpectralData from kappa on the undistributed expression."""
-    n, flat, eigs, exact = _whole_kappa_spectrum(expr, w)
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    return n, tuple((c, m, _block_size(rows, c, m)) for c, m in eigs), exact
-
-
 def _whole_kappa_trace(expr, l, order):
-    """Graded trace summed from the proven kappa spectra of the undistributed
+    """Graded trace summed from the flat-section spectra of the undistributed
     expression, weight by weight in steps of 1, down to trace_series's
     cutoff."""
     top = rep.top_weight(expr)
@@ -440,7 +420,7 @@ def _whole_kappa_trace(expr, l, order):
     w = top
     while w >= 0 or l * monodromy._exponent_floor(top, w) < order:
         if rep.weight_space(expr, w):
-            for c, m in _whole_kappa_spectrum(expr, w)[2]:
+            for c, m, _b in _section_spectrum(expr, w):
                 assert F(-c, 2) >= monodromy._exponent_floor(top, w)
                 e = F(-l * c, 2)
                 if e < order:
@@ -455,7 +435,7 @@ def test_spectral_branchwise_matches_whole_kappa(expr, depth):
     w = rep.top_weight(expr) - depth
     assume(0 < len(rep.weight_space(expr, w)) <= 66)
     sd = spectral(expr, w)
-    assert (sd.dimension, sd.eigen, sd.exact) == _whole_kappa_spectral(expr, w)
+    assert (sd.dimension, sd.eigen) == (len(rep.weight_space(expr, w)), _section_spectrum(expr, w))
 
 
 @given(EXPR)
@@ -562,7 +542,8 @@ def test_monodromy_trace_matches_series():
         if d >= order:
             break
         mm = monodromy_matrix(expr, w, 1)
-        total = total + mm.trace().as_qseries(order)
+        total = total + QSeries({e: p.constant_term() for e, p in mm.trace().terms.items()
+                                 if e < order}, order)
         w -= 2
     assert series_eq(total, trace_series(expr, 1, order), order)
 

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from casimir_trace import verify
 from casimir_trace.errors import DomainError
-from casimir_trace.series import QSeries, as_frac
+from casimir_trace.series import BiSeries, QSeries, as_frac
 from casimir_trace.verify import (
     CHECKS,
     ZetaCheckParams,
@@ -53,6 +54,22 @@ def test_table2_named_rows_only():
 def test_partial_thetas():
     r = check_partial_thetas(1, order=as_frac(16))
     assert r.status == "pass", r.witness
+
+
+def test_partial_thetas_checks_x_one_against_trace_series(monkeypatch):
+    # the bigraded check passes, so only the x = 1 step can see a Table 1
+    # trace with its last term dropped
+    trace_series = verify.monodromy.trace_series
+
+    def drop_last(expr, l, order):
+        s = trace_series(expr, l, order)
+        return QSeries({e: c for e, c in s.terms.items() if e != max(s.terms)}, s.order)
+
+    monkeypatch.setattr(verify.monodromy, "trace_series", drop_last)
+    r = check_partial_thetas(1, order=as_frac(16))
+    assert r.status == "fail"
+    assert r.witness == ("kind L0: x=1 specialization disagrees with Table 1: "
+                         "coefficient of q^0 differs: 1 vs 0")
 
 
 def test_multiplicities_check():
@@ -145,5 +162,13 @@ def test_checks_registry_complete():
 def test_witness_series_localizes():
     a = QSeries({as_frac(0): as_frac(1)}, as_frac(5))
     b = QSeries({as_frac(0): as_frac(1), as_frac(3): as_frac(2)}, as_frac(5))
-    w = verify._witness_series("here", a, b, as_frac(5))
-    assert "q^3" in w and "here" in w
+    w = verify._witness("here", a, b, as_frac(5))
+    assert w == "here: coefficient of q^3 differs: 0 vs 2"
+    assert verify._witness("here", a, b, as_frac(3)) is None
+
+
+def test_witness_biseries_localizes():
+    a = BiSeries({(0, 0): 1, (Fraction(1, 2), 2): Fraction(3, 2)}, 5)
+    b = BiSeries({(0, 0): 1}, 5)
+    w = verify._witness("kind P", a, b, 5)
+    assert w == "kind P: coefficient of q^1/2 x^2 differs: 3/2 vs 0"
