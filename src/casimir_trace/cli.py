@@ -362,39 +362,10 @@ def _cmd_multiplicities(args) -> int:
     return 0
 
 
-def _factor_counts(factor: rep.ModuleExpr) -> tuple[int, int, int]:
-    """How many M0, M(-2), P summands a tensor factor carries."""
-    if isinstance(factor, rep.Verma):
-        if factor.lam == 0:
-            return (1, 0, 0)
-        if factor.lam == -2:
-            return (0, 1, 0)
-        raise UnsupportedInputError(
-            f"compare handles factors built from M0, M-2, P; found M{factor.lam}")
-    if isinstance(factor, rep.BigP):
-        return (0, 0, 1)
-    if isinstance(factor, (rep.DirectSum, rep.Power)):
-        a = b = g = 0
-        for p in factor.parts:
-            da, db, dg = _factor_counts(p)
-            a, b, g = a + da, b + db, g + dg
-        return (a, b, g)
-    raise UnsupportedInputError(
-        "compare handles tensor products of direct sums of M0, M-2, P")
-
-
 def _cmd_compare(args) -> int:
     expr = parse_rep(args.rep)
-    factors = expr.parts if isinstance(expr, rep.Tensor) else (expr,)
-    counts = [_factor_counts(f) for f in factors]
-    if len(counts) < 2:
-        raise UnsupportedInputError(
-            "compare needs at least two tensor factors (the closed form has p >= 1)")
-    alphas = tuple(a + g for a, b, g in counts)
-    betas = tuple(b + g for a, b, g in counts)
-    p = len(counts) - 1
-    report = verify.compare_routes(f"compare[{pretty(expr)}]", expr, alphas, betas, p,
-                                   args.loops, _parse_order(args.order))
+    report = verify.compare_routes(f"compare[{pretty(expr)}]", expr, args.loops,
+                                   _parse_order(args.order))
     _emit_report(report, args.format)
     return _report_exit([report])
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from .errors import DomainError
 from .series import BiSeries, QSeries, Rat, as_frac, geometric
 
-PARTIAL_THETA_KINDS = ("L0", "M0", "Mminus2", "P")
+# kind -> (the constant term, the coefficient of q^(lk^2) x^(lk) for k >= 1)
+PARTIAL_THETAS = {"L0": (1, 0), "M0": (1, 1), "Mminus2": (0, 1), "P": (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -92,40 +93,22 @@ def jacobi_theta(l: int, order: Rat) -> QSeries:
 
 
 def partial_theta(kind: str, l: int, order: Rat) -> BiSeries:
-    """One of the four bigraded partial theta series.
-
-    kind: 'L0' -> 1; 'M0' -> sum_{k>=0} q^(lk^2) x^(lk);
-    'Mminus2' -> the same sum over k>=1; 'P' -> 1 + twice the k>=1 sum.
+    """One of the four bigraded partial theta series
+    c_0 + c sum_{k>=1} q^(lk^2) x^(lk), with (c_0, c) = PARTIAL_THETAS[kind]:
+    'L0' -> 1; 'M0' -> the sum over k>=0; 'Mminus2' -> the sum over k>=1;
+    'P' -> 1 + twice the k>=1 sum.
     """
     if l < 1:
         raise DomainError(f"loop count must be >= 1, got {l}")
-    if kind not in PARTIAL_THETA_KINDS:
-        raise DomainError(f"unknown partial theta kind {kind!r}; expected one of {PARTIAL_THETA_KINDS}")
+    if kind not in PARTIAL_THETAS:
+        raise DomainError(f"unknown partial theta kind {kind!r}; expected one of {tuple(PARTIAL_THETAS)}")
+    const, coeff = PARTIAL_THETAS[kind]
     order = as_frac(order)
-    terms: dict[tuple[Fraction, int], Fraction] = {}
-
-    def put(qe: int, xe: int, c: int):
-        if qe < order:
-            terms[(Fraction(qe), xe)] = Fraction(c)
-
-    if kind == "L0":
-        put(0, 0, 1)
-    elif kind == "M0":
-        k = 0
-        while l * k * k < order:
-            put(l * k * k, l * k, 1)
-            k += 1
-    elif kind == "Mminus2":
-        k = 1
-        while l * k * k < order:
-            put(l * k * k, l * k, 1)
-            k += 1
-    else:  # P
-        put(0, 0, 1)
-        k = 1
-        while l * k * k < order:
-            put(l * k * k, l * k, 2)
-            k += 1
+    terms = {}
+    k = 0
+    while l * k * k < order:
+        terms[(l * k * k, l * k)] = coeff if k else const
+        k += 1
     return BiSeries(terms, order)
 
 
@@ -135,7 +118,6 @@ def partial_appell_lerch(params: AppellLerchParams, order: Rat) -> QSeries:
     Each pole is expanded geometrically; the n-loop stops once l n^2 >= order,
     which is exhaustive because every later summand starts at a larger exponent.
     """
-    params = params if isinstance(params, AppellLerchParams) else AppellLerchParams(*params)
     order = as_frac(order)
     l = params.loops
     total = QSeries.zero(order)
@@ -161,8 +143,6 @@ def appell_lerch_cone(window: ConeWindow) -> ConeSeries:
     For fixed v2, v.Bv = (v1+v2)^2 - v2^2, so v1 runs over the finitely
     many integers with (v1+v2)^2 <= q_max + v2^2.
     """
-    if not isinstance(window, ConeWindow):
-        window = ConeWindow(*window)
     terms: dict[tuple[int, int, int], int] = {}
     for v2 in range(window.x2_max + 1):
         bound = window.q_max + v2 * v2  # = max allowed (v1+v2)^2

@@ -117,23 +117,19 @@ class SpectralData:
 
     eigen: sorted (eigenvalue, algebraic multiplicity, max Jordan block),
     every entry proven over Q at any dimension: spectra and blocks both come
-    from the walk down the flag (module docstring).  ``exact`` is always
-    True; it stays, in the JSON output too, for compatibility: block sizes
-    above dimension 80 used to come from a certificate modulo primes."""
+    from the walk down the flag (module docstring).  The JSON keeps
+    ``"exact": true`` for compatibility: block sizes above dimension 80 used
+    to come from a certificate modulo primes."""
 
     weight: int
     dimension: int
     eigen: tuple[tuple[int, int, int], ...]
 
-    @property
-    def exact(self) -> bool:
-        return True
-
     def to_obj(self) -> dict:
         return {
             "weight": self.weight,
             "dimension": self.dimension,
-            "exact": self.exact,
+            "exact": True,
             "eigen": [
                 {"value": c, "multiplicity": m, "max_block": b} for c, m, b in self.eigen
             ],

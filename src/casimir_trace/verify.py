@@ -2,9 +2,15 @@
 computation routes, conjecture evidence, and the zeta Mellin check.
 
 Each check returns a CheckReport instead of raising: failures carry a
-localized witness (where, expected, got).  Randomized configurations are
-drawn from a seeded RNG and the seed is recorded, so every report is
-reproducible bit for bit.
+localized witness (where, expected, got).  ``CHECKS`` maps each check's
+name to the reports it runs for a seed.  Randomized configurations are
+drawn by one seeded drawer, ``_draw``, and the seed is recorded, so every
+report is reproducible bit for bit.
+
+The route comparison of Table 2 reads its Appell-Lerch parameters
+(alphas, betas) off the expression itself (``_appell_lerch_params``, the
+inverse of ``conjecture_pair``), so no caller states them next to it.
+The spectral route never reads them: a wrong reading fails the comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from functools import lru_cache
 
 from . import closed_forms, monodromy, rep
 from .closed_forms import AppellLerchParams, partial_appell_lerch, partial_theta
-from .errors import DomainError
+from .errors import DomainError, UnsupportedInputError
 from .series import QSeries, exp_str, series_diff_witness
 
 DEFAULT_SEED = 20240817
@@ -161,32 +167,66 @@ def check_table1(l: int = 1, order=40) -> CheckReport:
 
 
 TABLE2_ROWS = (
-    ("M0xM0", rep.Tensor((rep.Verma(0), rep.Verma(0))), (1, 1), (0, 0)),
-    ("M0xP", rep.Tensor((rep.Verma(0), rep.BigP())), (1, 1), (0, 1)),
-    ("PxP", rep.Tensor((rep.BigP(), rep.BigP())), (1, 1), (1, 1)),
+    ("M0xM0", rep.Tensor((rep.Verma(0), rep.Verma(0)))),
+    ("M0xP", rep.Tensor((rep.Verma(0), rep.BigP()))),
+    ("PxP", rep.Tensor((rep.BigP(), rep.BigP()))),
 )
+
+# every seeded multiplicity is drawn from 0..MAX_MULT
+MAX_MULT = 2
 
 
 def _sum_factor(a: int, b: int, g: int = 0) -> rep.ModuleExpr:
     """alpha copies of M0, beta of M(-2), gamma of P as one direct sum."""
-    parts: list[rep.ModuleExpr] = []
-    if a:
-        parts.append(rep.Power(rep.Verma(0), a) if a > 1 else rep.Verma(0))
-    if b:
-        parts.append(rep.Power(rep.Verma(-2), b) if b > 1 else rep.Verma(-2))
-    if g:
-        parts.append(rep.Power(rep.BigP(), g) if g > 1 else rep.BigP())
+    parts = [rep.Power(atom, k) if k > 1 else atom
+             for atom, k in ((rep.Verma(0), a), (rep.Verma(-2), b), (rep.BigP(), g)) if k]
     if not parts:
         raise DomainError("empty direct-sum factor")
     return parts[0] if len(parts) == 1 else rep.DirectSum(tuple(parts))
 
 
-def _three_routes(expr, alphas, betas, p, l, order) -> str | None:
+def _factor_counts(factor: rep.ModuleExpr) -> tuple[int, int, int]:
+    """How many M0, M(-2), P summands a tensor factor carries."""
+    if isinstance(factor, rep.Verma):
+        if factor.lam == 0:
+            return (1, 0, 0)
+        if factor.lam == -2:
+            return (0, 1, 0)
+        raise UnsupportedInputError(
+            f"compare handles factors built from M0, M-2, P; found M{factor.lam}")
+    if isinstance(factor, rep.BigP):
+        return (0, 0, 1)
+    if isinstance(factor, (rep.DirectSum, rep.Power)):
+        a = b = g = 0
+        for p in factor.parts:
+            da, db, dg = _factor_counts(p)
+            a, b, g = a + da, b + db, g + dg
+        return (a, b, g)
+    raise UnsupportedInputError(
+        "compare handles tensor products of direct sums of M0, M-2, P")
+
+
+def _appell_lerch_params(expr) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alphas, betas) of a tensor product of direct sums of M0, M(-2) and
+    P, once each P is resolved into M0 + M(-2): the inverse of _sum_factor
+    and conjecture_pair.  Anything else is refused."""
+    factors = expr.parts if isinstance(expr, rep.Tensor) else (expr,)
+    counts = [_factor_counts(f) for f in factors]
+    if len(counts) < 2:
+        raise UnsupportedInputError(
+            "compare needs at least two tensor factors (the closed form has p >= 1)")
+    return tuple(a + g for a, _b, g in counts), tuple(b + g for _a, b, g in counts)
+
+
+def _three_routes(expr, l, order) -> str | None:
     """Pairwise-compare the spectral trace, the Verma-constituent route, and
     the closed form; returns a witness string or None.  The spectral trace
     reads kappa's spectra off the character, and prove_spectra first proves
     each of them against its kappa matrix (raising InvariantError if one
-    fails)."""
+    fails).  Only the last two routes read (alphas, betas) off ``expr``, so
+    a wrong reading fails the comparison."""
+    alphas, betas = _appell_lerch_params(expr)
+    p = len(alphas) - 1
     monodromy.prove_spectra(expr, l, order)
     t_spec = monodromy.trace_series(expr, l, order)
     t_dec = monodromy.trace_via_decomposition(alphas, betas, p, l, order)
@@ -203,32 +243,41 @@ def _three_routes(expr, alphas, betas, p, l, order) -> str | None:
 
 
 @_timed
-def compare_routes(name: str, expr, alphas, betas, p: int, l: int, order) -> CheckReport:
+def compare_routes(name: str, expr, l: int, order) -> CheckReport:
     """The route comparison of Table 2 on one tensor product of direct sums
-    of M0, M(-2) and P, whose factors carry alphas M0 and betas M(-2) pieces
-    once P is resolved."""
-    witness = _three_routes(expr, alphas, betas, p, l, order)
+    of M0, M(-2) and P."""
+    witness = _three_routes(expr, l, order)
+    alphas, betas = _appell_lerch_params(expr)
     return CheckReport(
         name, "fail" if witness else "pass",
-        f"l={l}, order<{order}, routes spectral/character/decomposition/closed-form",
+        f"l={l}, order<{order}, routes spectral/decomposition/closed-form",
         witness=witness,
-        extras={"alphas": list(alphas), "betas": list(betas), "p": p},
+        extras={"alphas": list(alphas), "betas": list(betas), "p": len(alphas) - 1},
     )
 
 
-def random_table2_config(rng: random.Random, max_mult: int = 2):
-    p = rng.randint(1, 2)
-    alphas, betas = [], []
-    for _ in range(p + 1):
-        while True:
-            a = rng.randint(0, max_mult)
-            b = rng.randint(0, max_mult)
-            if a + b >= 1:
-                break
-        alphas.append(a)
-        betas.append(b)
-    expr = rep.Tensor(tuple(_sum_factor(a, b) for a, b in zip(alphas, betas)))
-    return tuple(alphas), tuple(betas), p, expr
+def _draw(rng: random.Random, width: int) -> tuple[tuple[int, ...], ...]:
+    """p in {1, 2}, then p + 1 factors of ``width`` multiplicities each,
+    redrawn while a factor is all zero; returned one tuple per position
+    (alphas, betas[, gammas]).  Every seeded config is drawn here, in this
+    order, so a seed names the same configs in every check."""
+    factors = []
+    for _ in range(rng.randint(1, 2) + 1):
+        factor = (0,) * width
+        while not any(factor):
+            factor = tuple(rng.randint(0, MAX_MULT) for _ in range(width))
+        factors.append(factor)
+    return tuple(zip(*factors))
+
+
+def _seeded_tensors(seed: int, samples: int):
+    """(config, expr) for each seeded tensor product of M0^a + M(-2)^b
+    factors; config is {"alphas", "betas", "p"} as the reports record it."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        alphas, betas = _draw(rng, 2)
+        config = {"alphas": list(alphas), "betas": list(betas), "p": len(alphas) - 1}
+        yield config, rep.Tensor(tuple(map(_sum_factor, alphas, betas)))
 
 
 @_timed
@@ -237,19 +286,17 @@ def check_table2(l: int = 1, order=30, samples: int = 5, sample_order=15,
     name = f"table2[l={l}]"
     covered = (f"l={l}, named rows to order {order}, "
                f"{samples} seeded configs to order {sample_order} (seed {seed})")
-    for row, expr, alphas, betas in TABLE2_ROWS:
-        w = _three_routes(expr, alphas, betas, 1, l, order)
+    for row, expr in TABLE2_ROWS:
+        w = _three_routes(expr, l, order)
         if w:
             return CheckReport(name, "fail", covered, witness=f"row {row}: {w}")
-    rng = random.Random(seed)
     configs = []
-    for i in range(samples):
-        alphas, betas, p, expr = random_table2_config(rng)
-        configs.append({"alphas": list(alphas), "betas": list(betas), "p": p})
-        w = _three_routes(expr, alphas, betas, p, l, sample_order)
+    for i, (config, expr) in enumerate(_seeded_tensors(seed, samples)):
+        configs.append(config)
+        w = _three_routes(expr, l, sample_order)
         if w:
             return CheckReport(
-                name, "fail", covered, witness=f"config {i} {configs[-1]}: {w}",
+                name, "fail", covered, witness=f"config {i} {config}: {w}",
                 extras={"configs": configs})
     return CheckReport(name, "pass", covered, extras={"configs": configs})
 
@@ -284,30 +331,23 @@ def check_multiplicities(seed: int = DEFAULT_SEED, samples: int = 5,
                          k_max: int = 10) -> CheckReport:
     name = "multiplicities"
     covered = f"{samples} seeded configs (seed {seed}), k=0..{k_max}"
-    rng = random.Random(seed)
     configs = []
-    for i in range(samples):
-        alphas, betas, p, expr = random_table2_config(rng)
-        configs.append({"alphas": list(alphas), "betas": list(betas), "p": p})
-        expected = closed_forms.verma_multiplicities(alphas, betas, p, k_max)
+    for i, (config, expr) in enumerate(_seeded_tensors(seed, samples)):
+        configs.append(config)
+        expected = closed_forms.verma_multiplicities(
+            config["alphas"], config["betas"], config["p"], k_max)
         for k in range(k_max + 1):
-            got = rep.hwv_count(expr, -2 * k)
-            if got != expected[k]:
-                return CheckReport(
-                    name, "fail", covered,
-                    witness=(f"config {i} {configs[-1]}: hwv_count at weight {-2 * k} "
-                             f"is {got}, expected {expected[k]}"),
-                    extras={"configs": configs})
             # singular vectors agree with the flag count except at -2, where
             # every M_0 flag top contributes its own f v
-            sing = rep.singular_count(expr, -2 * k)
-            want = expected[k] + (expected[0] if k == 1 else 0)
-            if sing != want:
-                return CheckReport(
-                    name, "fail", covered,
-                    witness=(f"config {i} {configs[-1]}: singular_count at weight "
-                             f"{-2 * k} is {sing}, expected {want}"),
-                    extras={"configs": configs})
+            for count, want in ((rep.hwv_count, expected[k]),
+                                (rep.singular_count, expected[k] + (expected[0] if k == 1 else 0))):
+                got = count(expr, -2 * k)
+                if got != want:
+                    return CheckReport(
+                        name, "fail", covered,
+                        witness=(f"config {i} {config}: {count.__name__} at weight "
+                                 f"{-2 * k} is {got}, expected {want}"),
+                        extras={"configs": configs})
     return CheckReport(name, "pass", covered, extras={"configs": configs})
 
 
@@ -343,24 +383,6 @@ def test_conjecture1(alphas, betas, gammas, l: int = 1, order=25) -> CheckReport
     return CheckReport(name, "fail" if witness else "pass", covered, witness=witness)
 
 
-def random_conjecture_config(rng: random.Random, max_mult: int = 2):
-    p = rng.randint(1, 2)
-    alphas, betas, gammas = [], [], []
-    for _ in range(p + 1):
-        while True:
-            a = rng.randint(0, max_mult)
-            b = rng.randint(0, max_mult)
-            g = rng.randint(0, max_mult)
-            if a + b + g >= 1:
-                break
-        alphas.append(a)
-        betas.append(b)
-        gammas.append(g)
-    if not any(gammas):
-        gammas[rng.randrange(len(gammas))] = 1  # keep the comparison non-trivial
-    return tuple(alphas), tuple(betas), tuple(gammas), p
-
-
 def conjecture_suite(seed: int = DEFAULT_SEED, samples: int = 5,
                      order_named=25, order_random=15) -> list[CheckReport]:
     """The two closed-form-anchored cases plus seeded random configurations."""
@@ -370,7 +392,10 @@ def conjecture_suite(seed: int = DEFAULT_SEED, samples: int = 5,
     ]
     rng = random.Random(seed)
     for _ in range(samples):
-        alphas, betas, gammas, _p = random_conjecture_config(rng)
+        alphas, betas, gammas = _draw(rng, 3)
+        if not any(gammas):  # keep the comparison non-trivial
+            gammas = list(gammas)
+            gammas[rng.randrange(len(gammas))] = 1
         reports.append(test_conjecture1(alphas, betas, gammas, 1, order_random))
     return reports
 
@@ -473,7 +498,7 @@ def _euler_maclaurin_tail(s: float, n_max: int) -> tuple[float, float]:
 
 
 @_timed
-def zeta_mellin_check(params: ZetaCheckParams | None = None, **kwargs) -> CheckReport:
+def zeta_mellin_check(params: ZetaCheckParams | None = None) -> CheckReport:
     """|integral over i R_+ of (dhbar/hbar) chi(q, l, M(-2)) hbar^(s/2)|
     against Gamma(s/2) (4 pi l)^(-s/2) zeta(s), modulus only.
 
@@ -481,7 +506,7 @@ def zeta_mellin_check(params: ZetaCheckParams | None = None, **kwargs) -> CheckR
     by halving the node count.  Budget above tolerance -> inconclusive."""
     import mpmath
 
-    p = params or ZetaCheckParams(**kwargs)
+    p = params or ZetaCheckParams()
     name = f"zeta[s={p.s:g},l={p.loops}]"
     covered = (f"s={p.s:g} l={p.loops} window=[{p.t_min:g},{p.t_max:g}] "
                f"terms<=n_max={p.n_max} nodes={p.nodes}")
@@ -540,46 +565,16 @@ def zeta_mellin_check(params: ZetaCheckParams | None = None, **kwargs) -> CheckR
 # runner
 
 
-def _run_theorem1(seed):
-    return [check_theorem1(100)]
-
-
-def _run_table1(seed):
-    return [check_table1(l, 40) for l in (1, 2, 3)]
-
-
-def _run_table2(seed):
-    return [check_table2(1, 30, 5, 15, seed)]
-
-
-def _run_partial_thetas(seed):
-    return [check_partial_thetas(l, 25) for l in (1, 2)]
-
-
-def _run_multiplicities(seed):
-    return [check_multiplicities(seed, 5, 10)]
-
-
-def _run_conjecture1(seed):
-    return conjecture_suite(seed, 5, 25, 15)
-
-
-def _run_zeta(seed):
-    return [
-        zeta_mellin_check(ZetaCheckParams(s=2.0, loops=1)),
-        zeta_mellin_check(ZetaCheckParams(s=4.0, loops=1)),
-        zeta_mellin_check(ZetaCheckParams(s=2.0, loops=2)),
-    ]
-
-
+# each check's name and the reports it runs for a seed
 CHECKS = {
-    "theorem1": _run_theorem1,
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "partial-thetas": _run_partial_thetas,
-    "multiplicities": _run_multiplicities,
-    "conjecture1": _run_conjecture1,
-    "zeta": _run_zeta,
+    "theorem1": lambda seed: [check_theorem1(100)],
+    "table1": lambda seed: [check_table1(l, 40) for l in (1, 2, 3)],
+    "table2": lambda seed: [check_table2(1, 30, 5, 15, seed)],
+    "partial-thetas": lambda seed: [check_partial_thetas(l, 25) for l in (1, 2)],
+    "multiplicities": lambda seed: [check_multiplicities(seed, 5, 10)],
+    "conjecture1": lambda seed: conjecture_suite(seed, 5, 25, 15),
+    "zeta": lambda seed: [zeta_mellin_check(ZetaCheckParams(s=s, loops=l))
+                          for s, l in ((2.0, 1), (4.0, 1), (2.0, 2))],
 }
 
 

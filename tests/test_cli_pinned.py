@@ -117,7 +117,7 @@ DIGESTS = {
     "jordan": "0b248d88884d45234812044b5354370c266a3786ce1eb807a0cee3b431a3b6c4",
     "flat-section": "0bdd2d3dc507b5a7c52f24b699b90133d912ff744338db9560c172444e2639c2",
     "multiplicities": "22fc14c9b368b15e3a5a93e4e01fc81c6c4ab9a2c36d076b43aef2fee5a130c5",
-    "compare": "5f3d08861ff342e7c067c764bc44e4d50e044e1b4fbdde9abd4143aca3794593",
+    "compare": "e764ce09f0c3675df38e1b8e7046358fb2944a99bedc4b6faca99d7fa18cd19b",
     "conjecture": "ccbdd1f9c934e98ec06a8514468731c80a368040dd52e374dfb136027028b4a1",
     "zeta-check": "4b5b130d328ac848957c658c5135fbc4183daf91dde747f40cd6127026911f8d",
     "verify": "da680cc5819d41ac7c85a97af8e1fae5f4f810f2542cd89aa8378560ad34be3a",

@@ -62,6 +62,25 @@ def test_partial_theta_unknown_kind():
         partial_theta("M2", 1, F(5))
 
 
+# the values of k each kind sums q^(lk^2) x^(l|k|) over; P counts both signs
+PARTIAL_THETA_RANGES = {"L0": range(0, 1), "M0": range(0, 9), "Mminus2": range(1, 9),
+                        "P": range(-8, 9)}
+
+
+@given(st.sampled_from(sorted(PARTIAL_THETA_RANGES)), st.integers(1, 3),
+       st.integers(-4, 60).map(lambda n: F(n, 2)))
+@settings(max_examples=120, deadline=None)
+def test_partial_theta_is_its_defining_sum(kind, l, order):
+    want = {}
+    for k in PARTIAL_THETA_RANGES[kind]:  # l k^2 < order <= 30 needs |k| <= 5
+        if l * k * k < order:
+            key = (F(l * k * k), l * abs(k))
+            want[key] = want.get(key, 0) + 1
+    got = partial_theta(kind, l, order)
+    assert got.order == order
+    assert got.terms == want
+
+
 # the three fixed Appell-Lerch rows
 def test_appell_lerch_m0_m0():
     p = AppellLerchParams((1, 1), (0, 0), 1, 1)

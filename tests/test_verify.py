@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from casimir_trace import verify
-from casimir_trace.errors import DomainError
+from casimir_trace import rep, verify
+from casimir_trace.errors import DomainError, UnsupportedInputError
 from casimir_trace.series import BiSeries, QSeries, as_frac
 from casimir_trace.verify import (
     CHECKS,
@@ -80,10 +82,37 @@ def test_multiplicities_check():
 def test_conjecture_pair_shapes():
     f, fp = conjecture_pair((0,), (0,), (1,))
     # F = P, F' = M0 + M-2
-    import casimir_trace.rep as rep
-
     assert f == rep.BigP()
     assert fp == rep.DirectSum((rep.Verma(0), rep.Verma(-2)))
+
+
+# two or three tensor factors, each of (a, b, g) copies of M0, M(-2), P
+abg_factors = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+                       .filter(any), min_size=2, max_size=3)
+
+
+@given(abg_factors)
+@settings(max_examples=60, deadline=None)
+def test_reader_inverts_conjecture_pair(factors):
+    alphas, betas, gammas = zip(*factors)
+    f, fp = conjecture_pair(alphas, betas, gammas)
+    want = (tuple(a + g for a, _b, g in factors), tuple(b + g for _a, b, g in factors))
+    assert verify._appell_lerch_params(f) == want
+    assert verify._appell_lerch_params(fp) == want
+
+
+@given(abg_factors, st.data())
+@settings(max_examples=30, deadline=None)
+def test_reader_refuses_what_it_cannot_read(factors, data):
+    f, _fp = conjecture_pair(*zip(*factors))
+    i = data.draw(st.integers(0, len(factors) - 1))
+    with pytest.raises(UnsupportedInputError):
+        verify._appell_lerch_params(f.parts[i])  # one factor: the closed form needs p >= 1
+    for bad in (rep.Verma(1), rep.Irr(1)):
+        parts = list(f.parts)
+        parts[i] = rep.DirectSum((parts[i], bad))
+        with pytest.raises(UnsupportedInputError):
+            verify._appell_lerch_params(rep.Tensor(tuple(parts)))
 
 
 def test_conjecture_single_config():
@@ -113,7 +142,7 @@ def test_zeta_params_validation():
 
 
 def test_zeta_check_passes_at_defaults():
-    r = zeta_mellin_check(s=2.0, loops=1)
+    r = zeta_mellin_check(ZetaCheckParams(s=2.0, loops=1))
     assert r.status == "pass"
     assert math.isclose(r.extras["reference"], math.pi / 24, rel_tol=1e-12)
 
@@ -121,7 +150,7 @@ def test_zeta_check_passes_at_defaults():
 def test_zeta_check_reports_inconclusive_when_budget_blows():
     # huge cut at the bottom of the window makes the bound exceed any
     # reasonable tolerance; the check must refuse to claim failure
-    r = zeta_mellin_check(s=2.0, loops=1, t_min=1e-2, tol=1e-6)
+    r = zeta_mellin_check(ZetaCheckParams(s=2.0, loops=1, t_min=1e-2, tol=1e-6))
     assert r.status == "inconclusive"
     assert "budget" in (r.witness or "")
 
