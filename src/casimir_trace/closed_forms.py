@@ -80,16 +80,9 @@ class ConeSeries:
 
 
 def jacobi_theta(l: int, order: Rat) -> QSeries:
-    """Sum over all integers k of q^(l k^2), truncated below ``order``."""
-    if l < 1:
-        raise DomainError(f"loop count must be >= 1, got {l}")
-    order = as_frac(order)
-    terms: dict[Fraction, Fraction] = {}
-    k = 0
-    while l * k * k < order:
-        terms[Fraction(l * k * k)] = Fraction(1 if k == 0 else 2)
-        k += 1
-    return QSeries(terms, order)
+    """Sum over all integers k of q^(l k^2), truncated below ``order``: the
+    P partial theta 1 + 2 sum_{k>=1} q^(lk^2) x^(lk) at x = 1."""
+    return partial_theta("P", l, order).at_x_one()
 
 
 def partial_theta(kind: str, l: int, order: Rat) -> BiSeries:

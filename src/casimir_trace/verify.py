@@ -408,9 +408,12 @@ def conjecture_suite(seed: int = DEFAULT_SEED, samples: int = 5,
 class ZetaCheckParams:
     """Window and budget for the contour integral with hbar = i t.
 
-    The integrand of term n is t^(s/2-1) e^(-4 pi l n^2 t); each term gets
-    its own geometrically refined window [t_min/n^2, t_max] so the mass
-    below the cut stays provably under the tolerance."""
+    The integrand of term n is t^(s/2-1) e^(-4 pi l n^2 t) on the window
+    [t_min/n^2, min(t_max, 120/(4 pi l n^2))], so the mass below the cut
+    stays provably under the tolerance.  With t = u/n^2 that window is
+    [t_min, U_n]/n^2, U_n = min(n^2 t_max, 120/(4 pi l)), and the term is
+    n^(-s) times one integral over [t_min, U_n]: the check integrates once
+    per distinct U_n, not once per term (``_term_sums``)."""
 
     s: float = 2.0
     loops: int = 1
@@ -431,6 +434,38 @@ class ZetaCheckParams:
             raise DomainError("n_max >= 1 and nodes >= 2 required")
         if self.tol <= 0:
             raise DomainError("tolerance must be positive")
+
+
+# size caps of zeta_mellin_check, each at about 10 s of CPU on one core of
+# a 2-vCPU x86 machine under CPython 3.11: _leggauss is O(nodes^2) (9.1 s
+# at 4000 nodes), the per-term loop O(n_max) (11.0 s at 10^7 terms with
+# one window), and the quadratures O(_zeta_evals_bound) (7.4 s at 5.1e7)
+ZETA_NODES_MAX = 4000
+ZETA_N_MAX = 10_000_000
+ZETA_EVALS_MAX = 70_000_000
+
+
+def _zeta_evals_bound(p: ZetaCheckParams) -> int:
+    """An upper bound on the integrand evaluations of ``_term_sums``: one
+    window per n with n^2 t_max below the cap 120/(4 pi l), plus the cap,
+    at most n_max in all, each of at most ceil(log_4(cap/t_min)) panels
+    of a fine and a coarse rule."""
+    cap = 120.0 / (4.0 * math.pi * p.loops)
+    if cap <= p.t_min:
+        return 0
+    windows = min(p.n_max, math.isqrt(int(cap / p.t_max)) + 1)
+    panels = math.ceil((math.log(cap) - math.log(p.t_min)) / math.log(4))
+    return windows * panels * (p.nodes + max(2, p.nodes // 2))
+
+
+def _zeta_size_guard(p: ZetaCheckParams) -> None:
+    """Refuse, before any work, a check that would run well past 10 s."""
+    for what, value, cap in (("nodes", p.nodes, ZETA_NODES_MAX),
+                             ("n_max", p.n_max, ZETA_N_MAX),
+                             ("integrand evaluations", _zeta_evals_bound(p), ZETA_EVALS_MAX)):
+        if value > cap:
+            raise UnsupportedInputError(
+                f"zeta check: {what} {value} is above the cap {cap} (about 10 s of work)")
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -497,33 +532,63 @@ def _euler_maclaurin_tail(s: float, n_max: int) -> tuple[float, float]:
     return tail, abs(correction)
 
 
-@_timed
-def zeta_mellin_check(params: ZetaCheckParams | None = None) -> CheckReport:
-    """|integral over i R_+ of (dhbar/hbar) chi(q, l, M(-2)) hbar^(s/2)|
-    against Gamma(s/2) (4 pi l)^(-s/2) zeta(s), modulus only.
+def _term_sums(p: ZetaCheckParams) -> tuple[float, float, float]:
+    """The fine and coarse quadratures of terms n = 1..n_max, summed, and
+    the bound on the mass that the cuts above the windows drop.
 
-    Every truncation gets an explicit bound; quadrature error is estimated
-    by halving the node count.  Budget above tolerance -> inconclusive."""
-    import mpmath
-
-    p = params or ZetaCheckParams()
-    name = f"zeta[s={p.s:g},l={p.loops}]"
-    covered = (f"s={p.s:g} l={p.loops} window=[{p.t_min:g},{p.t_max:g}] "
-               f"terms<=n_max={p.n_max} nodes={p.nodes}")
+    Term n integrates t^(s/2-1) e^(-4 pi l n^2 t) over [t_min/n^2, t_up(n)],
+    t_up(n) = min(t_max, 120/(4 pi l n^2)).  With t = u/n^2 it is n^(-s)
+    times I(U_n), the integral of u^(s/2-1) e^(-4 pi l u) over [t_min, U_n],
+    U_n = n^2 t_up(n) = min(n^2 t_max, 120/(4 pi l)); the geometric panels
+    map node for node, so the fine and coarse rules scale alike.  I is
+    integrated once per distinct U_n: the t_max cap binds only for small n,
+    and at the defaults (t_max > 120/(4 pi)) never."""
     s, l = p.s, p.loops
+    c1 = 4.0 * math.pi * l
+    cap = 120.0 / c1
+    rules = {}  # U -> (fine, coarse) rules for I(U)
     total_fine = 0.0
     total_coarse = 0.0
     cut_bound = 0.0
     for n in range(1, p.n_max + 1):
         c = 4.0 * math.pi * l * n * n
-        a = p.t_min / (n * n)
         # beyond t_up the factor e^(-ct) is below e^-120; bound and skip
         t_up = min(p.t_max, 120.0 / c)
-        if t_up > a:
-            total_fine += _gl_term_integral(c, a, t_up, s, p.nodes)
-            total_coarse += _gl_term_integral(c, a, t_up, s, max(2, p.nodes // 2))
+        u = min(n * n * p.t_max, cap)
+        if u > p.t_min:
+            if u not in rules:
+                rules[u] = (_gl_term_integral(c1, p.t_min, u, s, p.nodes),
+                            _gl_term_integral(c1, p.t_min, u, s, max(2, p.nodes // 2)))
+            fine, coarse = rules[u]
+            scale = n ** -s
+            total_fine += scale * fine
+            total_coarse += scale * coarse
         if t_up < p.t_max:
             cut_bound += 2.0 * max(t_up, 1.0) ** (s / 2.0 - 1.0) * math.exp(-c * t_up) / c
+    return total_fine, total_coarse, cut_bound
+
+
+@_timed
+def zeta_mellin_check(params: ZetaCheckParams | None = None) -> CheckReport:
+    """|integral over i R_+ of (dhbar/hbar) chi(q, l, M(-2)) hbar^(s/2)|
+    against Gamma(s/2) (4 pi l)^(-s/2) zeta(s), modulus only.
+
+    Term n of the trace's Mellin sum is n^(-s) times the n = 1 integral
+    up to U_n = min(n^2 t_max, 120/(4 pi l)) (``_term_sums``), so the
+    quadratures run once per distinct U_n, once at the defaults.  Every
+    truncation gets an explicit bound; quadrature error is estimated by
+    halving the node count.  Budget above tolerance -> inconclusive.
+    Inputs past the size caps raise UnsupportedInputError before any
+    work."""
+    p = params or ZetaCheckParams()
+    _zeta_size_guard(p)
+    import mpmath
+
+    name = f"zeta[s={p.s:g},l={p.loops}]"
+    covered = (f"s={p.s:g} l={p.loops} window=[{p.t_min:g},{p.t_max:g}] "
+               f"terms<=n_max={p.n_max} nodes={p.nodes}")
+    s, l = p.s, p.loops
+    total_fine, total_coarse, cut_bound = _term_sums(p)
     # mass below the per-term cuts: integrand <= t^(s/2-1)
     below_bound = (2.0 / s) * p.t_min ** (s / 2.0) * float(mpmath.zeta(s))
     # n > n_max tail via the classical per-term Gamma integral

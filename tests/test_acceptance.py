@@ -69,18 +69,25 @@ def test_acceptance_7_zeta(capsys):
     points = {(2, 1): mp.pi / 24, (4, 1): mp.pi ** 2 / 1440, (2, 2): mp.pi / 48}
     ok = True
     detail = ""
-    # independent oracle first: per-term quadrature of t^(s/2-1) e^(-4 pi l n^2 t)
-    # summed over n by mpmath's own series acceleration, nothing shared with
-    # the implementation under test
+    # independent oracle first: one mpmath quadrature per point of the M(-2)
+    # trace (theta_3(q) - 1)/2 at q = e^(-4 pi l t), weighted by t^(s/2-1);
+    # below x = 4 l t = 1, where jtheta rejects |q| near 1, Jacobi's
+    # theta_3(e^(-pi x)) = x^(-1/2) theta_3(e^(-pi/x)).  Nothing is shared
+    # with the implementation under test.
     for (s, l), ref in points.items():
-        # exponent and rate are built once per term, not at every quadrature node
-        a = mp.mpf(s / 2 - 1)
+        with mp.workdps(30):
+            a = mp.mpf(s) / 2 - 1
 
-        def term(n, a=a, l=l):
-            c = 4 * mp.pi * l * n * n
-            return mp.quad(lambda t: t ** a * mp.exp(-c * t), [0, mp.inf])
-        oracle = mp.nsum(term, [1, mp.inf])
-        if abs(oracle - ref) > 1e-12:
+            def trace_m2(t, a=a, l=l):
+                x = 4 * l * t
+                if x < 1:
+                    theta = mp.jtheta(3, 0, mp.exp(-mp.pi / x)) / mp.sqrt(x)
+                else:
+                    theta = mp.jtheta(3, 0, mp.exp(-mp.pi * x))
+                return t ** a * (theta - 1) / 2
+            oracle = mp.quad(trace_m2, [0, mp.mpf(1) / (4 * l), 1, mp.inf])
+            off = abs(oracle - ref)
+        if off > 1e-12:
             ok, detail = False, f"oracle disagrees with reference at s={s}, l={l}"
             break
     if ok:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_trace import rep
+from casimir_trace import rep, verify
 from casimir_trace.cli import main, parse_rep, pretty
 from casimir_trace.errors import ParseError
 
@@ -187,6 +187,14 @@ def test_exit_code_check_failure():
     assert code == 1  # inconclusive without the flag
     code2, _, _ = run(["zeta-check", "--s", "2", "--t-min", "0.01", "--allow-inconclusive"])
     assert code2 == 0
+
+
+@pytest.mark.parametrize("option, cap", [("--nodes", verify.ZETA_NODES_MAX),
+                                         ("--n-max", verify.ZETA_N_MAX)])
+def test_zeta_check_refuses_past_its_size_caps(option, cap):
+    code, out, err = run(["zeta-check", option, str(cap + 1)])
+    assert (code, out) == (3, "")
+    assert "above the cap" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,21 @@ def test_jacobi_theta_l2():
     assert t.items() == [(F(0), F(1)), (F(2), F(2)), (F(8), F(2))]
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 5])
+def test_jacobi_theta_is_the_sum_over_all_integers(l):
+    # sum over k in Z of q^(l k^2) below each half-step order, |k| <= 6
+    # covering every exponent below 30
+    for twice in range(-4, 60):
+        order = F(twice, 2)
+        want = {}
+        for k in range(-6, 7):
+            if l * k * k < order:
+                want[F(l * k * k)] = want.get(F(l * k * k), 0) + 1
+        t = jacobi_theta(l, order)
+        assert t.order == order
+        assert dict(t.items()) == want
+
+
 def test_partial_theta_L0_is_one():
     t = partial_theta("L0", 1, F(10))
     assert t.items() == [((F(0), 0), F(1))]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -153,6 +154,119 @@ def test_zeta_check_reports_inconclusive_when_budget_blows():
     r = zeta_mellin_check(ZetaCheckParams(s=2.0, loops=1, t_min=1e-2, tol=1e-6))
     assert r.status == "inconclusive"
     assert "budget" in (r.witness or "")
+
+
+def _per_term_sums(p):
+    """The per-term route that _term_sums replaces, kept as its oracle:
+    term n integrated on its own window [t_min/n^2, t_up(n)] at its own
+    rate 4 pi l n^2, 2 n_max quadratures in all."""
+    s, l = p.s, p.loops
+    total_fine = total_coarse = cut_bound = 0.0
+    for n in range(1, p.n_max + 1):
+        c = 4.0 * math.pi * l * n * n
+        a = p.t_min / (n * n)
+        t_up = min(p.t_max, 120.0 / c)
+        if t_up > a:
+            total_fine += verify._gl_term_integral(c, a, t_up, s, p.nodes)
+            total_coarse += verify._gl_term_integral(c, a, t_up, s, max(2, p.nodes // 2))
+        if t_up < p.t_max:
+            cut_bound += 2.0 * max(t_up, 1.0) ** (s / 2.0 - 1.0) * math.exp(-c * t_up) / c
+    return total_fine, total_coarse, cut_bound
+
+
+def _floats(obj, prefix=""):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _floats(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+# t_max = 1 and 0.05 lie below 120/(4 pi l), so the t_max cap binds for small n
+ZETA_GRID = list(itertools.product(
+    (1.5, 2.0, 3.0, 4.0, 7.5), (1, 2, 3), (12.0, 1.0, 0.05), (1e-9, 1e-3), (1, 7, 200), (4, 24)))
+
+
+def test_zeta_windows_match_the_per_term_route(monkeypatch):
+    assert len(ZETA_GRID) == 540
+    for s, l, t_max, t_min, n_max, nodes in ZETA_GRID:
+        p = ZetaCheckParams(s=s, loops=l, t_min=t_min, t_max=t_max, n_max=n_max, nodes=nodes)
+        got = zeta_mellin_check(p)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_term_sums", _per_term_sums)
+            want = zeta_mellin_check(p)
+        assert got.status == want.status, p
+        tol = 1e-13 * abs(got.extras["measured"])
+        want_floats = dict(_floats(want.extras))
+        for key, value in _floats(got.extras):
+            assert abs(value - want_floats[key]) <= tol, (p, key, value, want_floats[key])
+
+
+def test_zeta_check_integrates_one_window_at_defaults(monkeypatch):
+    calls = []
+    integral = verify._gl_term_integral
+
+    def counted(*args):
+        calls.append(args)
+        return integral(*args)
+
+    monkeypatch.setattr(verify, "_gl_term_integral", counted)
+    assert zeta_mellin_check().status == "pass"
+    assert len(calls) == 2  # the fine and the coarse rule; 400 per term before
+    calls.clear()
+    run_checks(["zeta"])
+    assert len(calls) == 6
+
+
+def _refuse_work(monkeypatch):
+    def work(*_args):
+        raise AssertionError("the size guard let work start")
+
+    for name in ("_leggauss", "_gl_term_integral", "_term_sums"):
+        monkeypatch.setattr(verify, name, work)
+
+
+@pytest.mark.parametrize("field, cap", [("nodes", verify.ZETA_NODES_MAX),
+                                        ("n_max", verify.ZETA_N_MAX)])
+def test_zeta_size_guard_just_above_each_cap(monkeypatch, field, cap):
+    _refuse_work(monkeypatch)
+    verify._zeta_size_guard(ZetaCheckParams(**{field: cap}))
+    with pytest.raises(UnsupportedInputError, match=field):
+        zeta_mellin_check(ZetaCheckParams(**{field: cap + 1}))
+
+
+def test_zeta_size_guard_bounds_the_quadrature_work(monkeypatch):
+    # t_max far below 120/(4 pi): every term has a window of its own
+    def params(n_max):
+        return ZetaCheckParams(t_min=1e-13, t_max=1e-12, n_max=n_max)
+
+    per_window = verify._zeta_evals_bound(params(1))
+    n_max = verify.ZETA_EVALS_MAX // per_window + 1
+    assert verify._zeta_evals_bound(params(n_max - 1)) <= verify.ZETA_EVALS_MAX
+    _refuse_work(monkeypatch)
+    verify._zeta_size_guard(params(n_max - 1))
+    with pytest.raises(UnsupportedInputError, match="integrand evaluations"):
+        zeta_mellin_check(params(n_max))
+
+
+def test_zeta_evals_bound_covers_the_quadratures(monkeypatch):
+    evals = []
+    integral = verify._gl_term_integral
+
+    def counted(c, a, b, s, nodes):
+        lo, panels = a, 0
+        while lo < b:
+            lo, panels = min(lo * 4.0, b), panels + 1
+        evals.append(panels * nodes)
+        return integral(c, a, b, s, nodes)
+
+    monkeypatch.setattr(verify, "_gl_term_integral", counted)
+    for kw in ({}, {"t_max": 0.05, "n_max": 7}, {"t_min": 1e-3, "t_max": 1.0, "loops": 3},
+               {"t_min": 5e-324}):  # 120/(4 pi t_min) overflows a float
+        evals.clear()
+        p = ZetaCheckParams(**kw)
+        zeta_mellin_check(p)
+        assert 0 < sum(evals) <= verify._zeta_evals_bound(p)
 
 
 def test_zeta_tail_formula():
