@@ -319,15 +319,17 @@ def _matrix_plain(mat) -> str:
 
 
 def _cmd_jordan(args) -> int:
-    wm = rep.kappa_matrix(parse_rep(args.rep), args.weight)
+    expr = parse_rep(args.rep)
+    n = len(rep.weight_space(expr, args.weight))  # refused before kappa is built
+    if n > 2:
+        raise UnsupportedInputError(
+            f"jordan is defined for 1x1 and 2x2 weight spaces; dimension is {n}")
+    wm = rep.kappa_matrix(expr, args.weight)
     if wm.dimension == 1:
         j = ((as_frac(wm.entries[0][0]),),)
         s = ((as_frac(1),),)
-    elif wm.dimension == 2:
-        j, s = monodromy.jordan_2x2(wm.entries)
     else:
-        raise UnsupportedInputError(
-            f"jordan is defined for 1x1 and 2x2 weight spaces; dimension is {wm.dimension}")
+        j, s = monodromy.jordan_2x2(wm.entries)
     if args.format == "json":
         _emit_json({
             "weight": wm.weight,

@@ -96,7 +96,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import linalg
-from .closed_forms import AppellLerchParams
+from .closed_forms import AppellLerchParams, verma_multiplicities
 from .errors import DomainError, InvariantError, UnsupportedInputError
 from .rep import (
     BranchKey,
@@ -410,17 +410,14 @@ def monodromy_matrix(expr: ModuleExpr, w: int, l: int = 1) -> MonodromyMatrix:
         raise DomainError(f"loop count must be >= 1, got {l}")
     fs = spectral_components(expr, w)
     n = fs.dimension
-    chains: dict[int, dict[int, tuple]] = {}
-    for c, j, mat in fs.terms:
-        chains.setdefault(c, {})[j] = mat
     cells: list[list[dict[Fraction, MuPoly] | None]] = [[None] * n for _ in range(n)]
-    for c, chain in chains.items():
+    for c, chain in fs._chains().items():
         # the exponent of q^(-lc/2), made and hashed once: dict.fromkeys and
         # dict.update copy its stored hash into each cell
         q_key = {Fraction(-l * c, 2): None}
         # the mu^j coefficients: (-l)^j / j! A_cj, and A_c0 as it is
-        mats = [chain[0]] + [_scaled(chain[j], Fraction((-l) ** j, math.factorial(j)))
-                             for j in range(1, len(chain))]
+        mats = [_scaled(mat, Fraction((-l) ** j, math.factorial(j))) if j else mat
+                for j, mat in enumerate(chain)]
         for i, cell_row in enumerate(cells):
             for k, coeffs in enumerate(zip(*[mat[i] for mat in mats])):
                 top = len(coeffs)
@@ -460,16 +457,18 @@ class FlatSectionExpr:
     def dimension(self) -> int:
         return len(self.kappa)
 
-    def _well_formed(self) -> bool:
-        """Each (c, j) stored once, each chain whole (j = 0, 1, ... with no
-        gap) and every term n x n; the checks read a malformed section as
-        failing, not as an error."""
+    def _chains(self) -> dict[int, list] | None:
+        """{c: [A_c0, A_c1, ...]}, or None unless each (c, j) is stored once,
+        each chain whole (j = 0, 1, ... with no gap) and every term n x n;
+        the checks read a malformed section as failing, not as an error."""
         n = self.dimension
-        chains = Counter(c for c, _j, _mat in self.terms)
-        return ({(c, j) for c, j, _mat in self.terms}
-                == {(c, j) for c, k in chains.items() for j in range(k)}
-                and all(len(mat) == n and all(len(row) == n for row in mat)
-                        for _c, _j, mat in self.terms))
+        chains: dict[int, list] = {}
+        for c, j, mat in sorted(self.terms, key=lambda term: term[1]):
+            chain = chains.setdefault(c, [])
+            if j != len(chain) or len(mat) != n or any(len(row) != n for row in mat):
+                return None
+            chain.append(mat)
+        return chains
 
     def check_ode(self) -> bool:
         """kappa A_ct = c A_ct + A_c(t+1): the coefficient-wise content of
@@ -478,32 +477,29 @@ class FlatSectionExpr:
         Both are proven exactly on the integer matrices d A_ct, d the least
         common denominator of every stored entry, with kappa's sparse rows:
         O(nnz(kappa) n) integer steps per term."""
-        if not self._well_formed():
+        chains = self._chains()
+        if chains is None:
             return False
         n = self.dimension
         dens = {x.denominator for _c, _j, mat in self.terms for row in mat for x in row}
         d = math.lcm(*dens)
         scale = {q: d // q for q in dens}
-        chains: dict[int, dict[int, tuple]] = {}
-        for c, j, mat in self.terms:
-            chains.setdefault(c, {})[j] = mat
         sparse = [[(r, x) for r, x in enumerate(row) if x] for row in self.kappa]
         zero = [0] * n
         total = [zero] * n
         for c, chain in chains.items():
             # one eigenvalue's terms scaled at a time
-            scaled = {j: [[x.numerator * scale[x.denominator] for x in row] for row in mat]
-                      for j, mat in chain.items()}
-            for t, mat in scaled.items():
-                nxt = scaled.get(t + 1)
+            scaled = [[[x.numerator * scale[x.denominator] for x in row] for row in mat]
+                      for mat in chain]
+            for t, mat in enumerate(scaled):
+                nxt = scaled[t + 1] if t + 1 < len(scaled) else None
                 for i, krow in enumerate(sparse):
                     lhs = zero
                     for r, x in krow:
                         lhs = [a + x * y for a, y in zip(lhs, mat[r])]
                     if lhs != [c * a + b for a, b in zip(mat[i], nxt[i] if nxt else zero)]:
                         return False
-            if 0 in scaled:
-                total = [[a + b for a, b in zip(x, y)] for x, y in zip(total, scaled[0])]
+            total = [[a + b for a, b in zip(x, y)] for x, y in zip(total, scaled[0])]
         # completeness of the projections: sum_c d A_c0 = d I
         return all(row == [d * (i == k) for k in range(n)] for i, row in enumerate(total))
 
@@ -601,13 +597,14 @@ class _Walk:
     __slots__ = ("key", "expr", "sign", "weight", "basis", "spectrum", "blocks", "step", "back",
                  "ahead")
 
-    def __init__(self, key: BranchKey, expr: ModuleExpr, sign: int, weight: int, basis: list,
-                 spectrum: dict[int, int], step: list[dict[int, int]],
-                 back: list[dict[int, int]]):
-        self.key, self.expr, self.sign, self.weight = key, expr, sign, weight
-        self.basis, self.spectrum, self.step, self.back = basis, spectrum, step, back
-        self.blocks = dict.fromkeys(spectrum, 1)
-        self.ahead = None
+    def __init__(self, key: BranchKey, sign: int):
+        top = sum(t[1] for t in key)
+        self.key, self.expr, self.sign, self.weight = key, branch_expr(key), sign, sign * top
+        self.basis = weight_space(self.expr, self.weight)
+        # past the end the space is zero, so there kappa = sign h = top: blocks of size 1
+        self.spectrum, self.blocks = {top: len(self.basis)}, {top: 1}
+        self.step, self.ahead = [], None
+        self.back = action_columns("e" if sign > 0 else "f", self.expr, self.basis, [])
 
 
 # Walks between calls, the latest last, so that prove_spectra's consecutive
@@ -633,15 +630,6 @@ def _lead(idx) -> int:
 
 def _successor(idx):
     return idx + 1 if isinstance(idx, int) else (idx[0] + 1,) + idx[1:]
-
-
-def _start_walk(key: BranchKey, sign: int) -> _Walk:
-    expr = branch_expr(key)
-    top = sum(t[1] for t in key)
-    basis = weight_space(expr, sign * top)
-    # past the end the space is zero, so there kappa = sign h = top: blocks of size 1
-    back = action_columns("e" if sign > 0 else "f", expr, basis, [])
-    return _Walk(key, expr, sign, sign * top, basis, {top: len(basis)}, [], back)
 
 
 def _ahead(walk: _Walk) -> tuple[list, list[dict[int, int]], list[dict[int, int]]]:
@@ -741,7 +729,7 @@ def _walk_to(key: BranchKey, w: int) -> _Walk:
     sign = -1 if w < 0 and _is_finite(key) else 1
     walk = _WALKS.pop(key, None)
     if walk is None or walk.sign != sign or sign * (walk.weight - w) < 0:
-        walk = _start_walk(key, sign)
+        walk = _Walk(key, sign)
     while sign * (walk.weight - w) > 0:
         _step(walk)
     _WALKS[key] = walk
@@ -758,11 +746,9 @@ def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[int, int, int], ...]
     b the largest Jordan block of c: the character's prediction of (c, m),
     proven against kappa, and the blocks the walk carries (module
     docstring)."""
-    top = sum(t[1] for t in key)
-    depth, odd = divmod(top - w, 2)
-    if depth < 0 or odd or (w < -top and _is_finite(key)):
+    predicted = _character_spectrum(key, w)
+    if not predicted:
         return ()
-    predicted = _character_spectra(key, [depth])[0]
     walk = _walk_to(key, w)
     if walk.ahead is None:
         walk.ahead = _ahead(walk)
@@ -774,6 +760,8 @@ def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[int, int, int], ...]
 
 
 def _branch_depth_jobs(key: BranchKey, l: int, order: Fraction) -> list[int]:
+    if l < 1:
+        raise DomainError(f"loop count must be >= 1, got {l}")
     top = sum(t[1] for t in key)
     bottom = -top if _is_finite(key) else -math.inf  # no finite weight lies below -top
     jobs = []
@@ -809,15 +797,23 @@ def _character_spectra(key: BranchKey, depths: list[int]) -> list[list[tuple[int
     return spectra
 
 
+def _character_spectrum(key: BranchKey, w: int) -> list[tuple[int, int]]:
+    """(eigenvalue, multiplicity) pairs of kappa on the branch's weight-w
+    space, read off its character: none where the branch has no weight w
+    (wrong parity, above the top, or below -top on finite irreducibles)."""
+    top = sum(t[1] for t in key)
+    depth, odd = divmod(top - w, 2)
+    if depth < 0 or odd or (w < -top and _is_finite(key)):
+        return []
+    return _character_spectra(key, [depth])[0]
+
+
 def _predicted_spectrum(branches: Counter, w: int) -> list[tuple[int, int]]:
     """kappa's spectrum on the weight-w space of a direct sum of tensor
     branches (a Counter as from tensor_branches), read off their characters."""
     total: dict[int, int] = {}
     for key, mult in branches.items():
-        depth, odd = divmod(sum(t[1] for t in key) - w, 2)
-        if depth < 0 or odd:
-            continue
-        for c, m in _character_spectra(key, [depth])[0]:
+        for c, m in _character_spectrum(key, w):
             total[c] = total.get(c, 0) + mult * m
     return sorted(total.items())
 
@@ -850,8 +846,6 @@ def prove_spectra(expr: ModuleExpr, l: int, order: Rat) -> None:
     _branch_spectrum cache; raises InvariantError on the first spectrum that
     kappa contradicts.  The negative weights of a branch of finite
     irreducibles are visited bottom up, the way _walk_to walks them."""
-    if l < 1:
-        raise DomainError(f"loop count must be >= 1, got {l}")
     order = as_frac(order)
     for key in sorted(tensor_branches(expr)):
         top = sum(t[1] for t in key)
@@ -870,8 +864,6 @@ def trace_series(expr: ModuleExpr, l: int, order: Rat) -> QSeries:
     and walks each branch down in depth until the validated cutoff bound
     proves all remaining exponents lie at or beyond ``order``.  The spectra
     come from the character; prove_spectra proves them against kappa."""
-    if l < 1:
-        raise DomainError(f"loop count must be >= 1, got {l}")
     order = as_frac(order)
     out: dict[Fraction, Fraction] = {}
     for _w, e, count in _branch_terms(expr, l, order):
@@ -886,8 +878,6 @@ def trace_deformed(expr: ModuleExpr, l: int, order: Rat) -> BiSeries:
     Only defined when every populated weight is even and non-positive;
     otherwise the x-grading leaves the allowed lattice and the input is
     rejected.  Spectra as in trace_series."""
-    if l < 1:
-        raise DomainError(f"loop count must be >= 1, got {l}")
     order = as_frac(order)
     out: dict[tuple[Fraction, int], Fraction] = {}
     for w, e, count in _branch_terms(expr, l, order):
@@ -905,15 +895,9 @@ def trace_via_decomposition(alphas, betas, p: int, l: int, order: Rat) -> QSerie
 
     sum_{n>=0} sum_k a_{k,p} q^(l(n^2 + (2n+1)k)) with a_{k,p} the
     multiplicity coefficients; independent of the spectral route."""
-    from .closed_forms import verma_multiplicities
-
     AppellLerchParams(tuple(alphas), tuple(betas), p, l)  # validate
     order = as_frac(order)
-    if order <= 0:
-        return QSeries.zero(order)
-    kmax = 0
-    while l * (2 * 0 + 1) * (kmax + 1) < order:  # n = 0 reaches the deepest k
-        kmax += 1
+    kmax = max(0, math.ceil(order / l) - 1)  # n = 0 reaches the deepest k
     mults = verma_multiplicities(alphas, betas, p, kmax)
     out: dict[Fraction, Fraction] = {}
     n = 0
@@ -923,7 +907,7 @@ def trace_via_decomposition(alphas, betas, p: int, l: int, order: Rat) -> QSerie
             e = Fraction(l * (n * n + (2 * n + 1) * k))
             if e >= order:
                 break
-            if k <= kmax and mults[k]:
+            if mults[k]:
                 out[e] = out.get(e, Fraction(0)) + mults[k]
             k += 1
         n += 1
@@ -932,16 +916,6 @@ def trace_via_decomposition(alphas, betas, p: int, l: int, order: Rat) -> QSerie
 
 # ---------------------------------------------------------------------------
 # 2x2 Jordan forms (closed form; used for the rank-two blocks)
-
-
-def _frac_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def jordan_2x2(mat) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
@@ -956,9 +930,10 @@ def jordan_2x2(mat) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fract
     tr = a[0][0] + a[1][1]
     det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     disc = tr * tr - 4 * det
-    root = _frac_sqrt(disc)
-    if root is None:
+    rn, rd = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
+    if rn * rn != disc.numerator or rd * rd != disc.denominator:
         raise UnsupportedInputError("eigenvalues are irrational or complex")
+    root = Fraction(rn, rd)
     if root:
         c1, c2 = (tr - root) / 2, (tr + root) / 2
         v1 = _eigvec_2x2(a, c1)

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, UnsupportedInputError
 from . import linalg
 
 Index = Union[int, tuple]
@@ -259,11 +259,11 @@ def act_combo(gen: str, expr: ModuleExpr, vec: dict[Index, int]) -> dict[Index, 
     return out
 
 
-def kappa_image(expr: ModuleExpr, idx: Index) -> dict[Index, int]:
-    """Truncated Casimir e f + f e applied to one basis vector."""
-    v = {idx: 1}
-    out = act_combo("e", expr, act_combo("f", expr, v))
-    for i2, c in act_combo("f", expr, act_combo("e", expr, v)).items():
+def kappa_image(expr: ModuleExpr, vec: dict[Index, int]) -> dict[Index, int]:
+    """Truncated Casimir e f + f e applied to a sparse vector {index:
+    coefficient}; the image keeps no zero coefficient."""
+    out = act_combo("e", expr, act_combo("f", expr, vec))
+    for i2, c in act_combo("f", expr, act_combo("e", expr, vec)).items():
         s = out.get(i2, 0) + c
         if s:
             out[i2] = s
@@ -297,17 +297,31 @@ class WeightMatrix:
         }
 
 
+# Largest weight space kappa_flat builds: its n^2 list sets the cost.  On a
+# 2-vCPU VM under CPython 3.11 (in-process CPU, tracemalloc peak), n = 7392
+# (P x P x P x P at -28) takes 2.0 s and 442 MB, n = 7746 (P x P x P at -88)
+# 1.7 s and 484 MB, and a deeply nested sum of tensors at n = 6480 4.0 s
+# (4.6 s with P and the powers spelled out).  The peak is 8.1 n^2 bytes, so
+# memory reaches 500 MB at n = 7800, before time reaches 10 s.
+_KAPPA_DIM_MAX = 7800
+
+
 def kappa_flat(expr: ModuleExpr, w: int, basis: list[Index] | None = None) -> tuple[int, list[int]]:
-    """Dimension and row-major entries of kappa on the weight-w space."""
+    """Dimension and row-major entries of kappa on the weight-w space;
+    spaces above _KAPPA_DIM_MAX are refused before the matrix is built."""
     if basis is None:
         basis = weight_space(expr, w)
     n = len(basis)
     if n == 0:
         raise DomainError(f"weight space at w={w} is zero")
+    if n > _KAPPA_DIM_MAX:
+        raise UnsupportedInputError(
+            f"weight space at w={w} has dimension {n}; the dense kappa is limited to "
+            f"dimension {_KAPPA_DIM_MAX}")
     pos = {idx: i for i, idx in enumerate(basis)}
     flat = [0] * (n * n)
     for j, idx in enumerate(basis):
-        for i2, c in kappa_image(expr, idx).items():
+        for i2, c in kappa_image(expr, {idx: 1}).items():
             i = pos.get(i2)
             if i is None:
                 raise InvariantError(f"kappa moved weight {w} off its weight space (index {i2})")

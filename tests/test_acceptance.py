@@ -153,7 +153,7 @@ def _family_commutators(rng) -> str | None:
 def _family_kappa_weight(rng) -> str | None:
     expr, w, basis = _draw_space(rng)
     idx = rng.choice(basis)
-    img = rep.kappa_image(expr, idx)
+    img = rep.kappa_image(expr, {idx: 1})
     for out in img:
         if rep.index_weight(expr, out) != w:
             return f"kappa moved {rep.format_index(expr, idx)} off weight {w} in {expr}"

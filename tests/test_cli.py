@@ -182,6 +182,16 @@ def test_exit_code_unsupported():
     assert code4 == 3
 
 
+def test_jordan_refuses_before_building_kappa(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("jordan built kappa before reading the dimension")
+
+    monkeypatch.setattr(rep, "kappa_flat", no_matrix)
+    code, out, err = run(["jordan", "--rep", "M0 x M0", "--weight", "-4"])
+    assert code == 3 and out == ""
+    assert "jordan is defined for 1x1 and 2x2 weight spaces; dimension is 3" in err
+
+
 def test_exit_code_check_failure():
     code, out, _ = run(["zeta-check", "--s", "2", "--t-min", "0.01"])
     assert code == 1  # inconclusive without the flag

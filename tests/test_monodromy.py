@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from casimir_trace import linalg, monodromy, rep
 from casimir_trace.cli import parse_rep
+from casimir_trace.closed_forms import AppellLerchParams, partial_appell_lerch
 from casimir_trace.errors import DomainError, InvariantError, UnsupportedInputError
 from casimir_trace.monodromy import (
     flat_sections,
@@ -210,9 +211,9 @@ def test_walk_cache_is_bounded_and_continues_one_walk(monkeypatch):
     monodromy._WALKS.clear()
     monodromy._branch_spectrum.cache_clear()
     starts = []
-    start_walk = monodromy._start_walk
-    monkeypatch.setattr(monodromy, "_start_walk",
-                        lambda key, sign: starts.append((key, sign)) or start_walk(key, sign))
+    walk_class = monodromy._Walk
+    monkeypatch.setattr(monodromy, "_Walk",
+                        lambda key, sign: starts.append((key, sign)) or walk_class(key, sign))
     # consecutive depths of one branch continue one walk
     expr = rep.Tensor((M0, P))
     monodromy.prove_spectra(expr, 1, F(12))
@@ -291,7 +292,7 @@ def test_walk_operator_is_kappa_flat(expr, depth):
 
 def test_finite_walk_stops_where_f_may_not_be_injective():
     # L2 x L2 holds L0: at weight 0 kappa has the eigenvalue 0, f kills it
-    walk = monodromy._start_walk((("L", 2), ("L", 2)), 1)
+    walk = monodromy._Walk((("L", 2), ("L", 2)), 1)
     monodromy._step(walk)
     monodromy._step(walk)
     assert walk.weight == 0 and walk.spectrum == {0: 1, 4: 1, 12: 1}
@@ -578,6 +579,26 @@ def test_trace_via_decomposition_matches():
         assert series_eq(direct, fast, F(8))
 
 
+@st.composite
+def _appell_lerch_shapes(draw):
+    """(alphas, betas, p): p + 1 factors alpha + beta y, none of them zero."""
+    p = draw(st.integers(1, 2))
+    factor = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+    alphas, betas = zip(*draw(st.lists(factor, min_size=p + 1, max_size=p + 1)))
+    return alphas, betas, p
+
+
+@given(_appell_lerch_shapes(), st.integers(1, 3), st.integers(-4, 60))
+@settings(max_examples=100, deadline=None)
+def test_trace_via_decomposition_is_the_partial_appell_lerch_sum(shape, l, half_order):
+    # orders in half steps from -2 to 30: orders <= 0 give the empty series,
+    # and a fractional order must still reach the deepest multiplicity
+    alphas, betas, p = shape
+    order = F(half_order, 2)
+    want = partial_appell_lerch(AppellLerchParams(alphas, betas, p, l), order)
+    assert trace_via_decomposition(alphas, betas, p, l, order) == want
+
+
 def test_jordan_2x2_defective():
     j, s = jordan_2x2(((-12, 2), (-8, -4)))
     assert j == ((F(-8), F(2)), (F(0), F(-8)))
@@ -615,6 +636,8 @@ def test_jordan_2x2_similarity_is_the_canonical_eigenvector_pair(mat, s):
 def test_jordan_2x2_rejects_irrational():
     with pytest.raises(UnsupportedInputError):
         jordan_2x2(((0, 2), (1, 0)))
+    with pytest.raises(UnsupportedInputError, match="complex"):
+        jordan_2x2(((0, -1), (1, 0)))  # a rotation: the discriminant is -4
     with pytest.raises(DomainError):
         jordan_2x2(((1,),))
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_trace import rep
-from casimir_trace.errors import DomainError
+from casimir_trace.errors import DomainError, UnsupportedInputError
 from casimir_trace.rep import (
     BigP,
     DirectSum,
@@ -77,6 +77,20 @@ def test_kappa_matrix_verma():
 def test_kappa_empty_space():
     with pytest.raises(DomainError):
         kappa_matrix(M0, 1)  # odd weight never occurs in M0
+
+
+def test_kappa_size_guard_just_above_the_cap(monkeypatch):
+    # P x P x P at -90 has dimension 8102: refused before its n^2 list
+    # (530 MB) is built, with only the basis enumerated
+    with pytest.raises(UnsupportedInputError, match="dimension 8102"):
+        rep.kappa_flat(Tensor((P, P, P)), -90)
+    # the boundary itself, on a small space with the cap lowered to its size
+    n = len(weight_space(Tensor((P, P)), -6))
+    monkeypatch.setattr(rep, "_KAPPA_DIM_MAX", n)
+    assert kappa_matrix(Tensor((P, P)), -6).dimension == n
+    monkeypatch.setattr(rep, "_KAPPA_DIM_MAX", n - 1)
+    with pytest.raises(UnsupportedInputError, match=f"dimension {n}; "):
+        kappa_matrix(Tensor((P, P)), -6)
 
 
 def test_character_P():
@@ -175,9 +189,18 @@ def test_commutator_relations(expr, depth, data):
 @settings(max_examples=100, deadline=None)
 def test_kappa_preserves_weight(expr, depth):
     w = top_weight(expr) - depth
-    for idx in weight_space(expr, w):
-        for target in kappa_image(expr, idx):
+    basis = weight_space(expr, w)
+    for idx in basis:
+        for target in kappa_image(expr, {idx: 1}):
             assert rep.index_weight(expr, target) == w
+    # the image of a sparse vector is the sum of its indices' images, with
+    # no zero coefficient kept (one coefficient of the vector is 0)
+    vec = {idx: i - 1 for i, idx in enumerate(basis)}
+    want = {}
+    for idx, x in vec.items():
+        for target, c in kappa_image(expr, {idx: 1}).items():
+            want[target] = want.get(target, 0) + x * c
+    assert kappa_image(expr, vec) == {t: c for t, c in want.items() if c}
 
 
 def test_canonical_order_is_stable():
@@ -211,7 +234,12 @@ def test_p_and_powers_read_as_what_they_denote(expr):
     for w in range(top, top - 4, -1):
         basis = weight_space(expr, w)
         assert basis == weight_space(plain, w)
-        if basis:
+        if len(basis) > rep._KAPPA_DIM_MAX:
+            # the same refusal for both, before either builds its n^2 list
+            for e in (expr, plain):
+                with pytest.raises(UnsupportedInputError, match=f"dimension {len(basis)}; "):
+                    kappa_matrix(e, w)
+        elif basis:
             got, want = kappa_matrix(expr, w), kappa_matrix(plain, w)
             assert (got.labels, got.entries) == (want.labels, want.entries)
 

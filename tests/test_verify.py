@@ -202,6 +202,21 @@ def test_zeta_windows_match_the_per_term_route(monkeypatch):
             assert abs(value - want_floats[key]) <= tol, (p, key, value, want_floats[key])
 
 
+def test_zeta_budget_bounds_the_error_where_t_max_ends_a_window():
+    # t_max = 1, 0.2 and 0.05 lie below 120/(4 pi l): the mass above t_max
+    # of the terms whose window t_max ends enters window_above
+    grid = itertools.product((1.5, 2.0, 3.0, 4.0, 7.5), (1, 2, 3), (12.0, 1.0, 0.2, 0.05),
+                             (1e-9, 1e-3), (1, 7, 200), (4, 24))
+    for s, l, t_max, t_min, n_max, nodes in grid:
+        p = ZetaCheckParams(s=s, loops=l, t_min=t_min, t_max=t_max, n_max=n_max, nodes=nodes)
+        r = zeta_mellin_check(p)
+        assert r.extras["abs_error"] <= r.extras["error_budget"], p
+        assert r.status != "fail", p
+    # the window [t_min, 0.05] misses most of the n = 1 term: not a failure
+    r = zeta_mellin_check(ZetaCheckParams(t_max=0.05))
+    assert r.status == "inconclusive" and r.extras["budget_parts"]["window_above"] > 0.04
+
+
 def test_zeta_check_integrates_one_window_at_defaults(monkeypatch):
     calls = []
     integral = verify._gl_term_integral
