@@ -227,6 +227,13 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _appell_lerch_options(args, loops: int = 1) -> AppellLerchParams:
+    """--alphas and --betas at ``loops`` loops; p is one less than the
+    number of alphas."""
+    alphas = _int_list(args.alphas)
+    return AppellLerchParams(alphas, _int_list(args.betas), len(alphas) - 1, loops)
+
+
 def _parse_order(text) -> Fraction:
     try:
         return Fraction(text)
@@ -278,8 +285,7 @@ def _cmd_closed_form(args) -> int:
     elif args.family == "appell-lerch-partial":
         if args.alphas is None or args.betas is None:
             raise DomainError("--alphas and --betas are required here")
-        alphas = _int_list(args.alphas)
-        params = AppellLerchParams(alphas, _int_list(args.betas), len(alphas) - 1, args.loops)
+        params = _appell_lerch_options(args, args.loops)
         _emit_qseries(closed_forms.partial_appell_lerch(params, _parse_order(args.order)), args.format)
     else:
         w = ConeWindow(args.qmin, args.qmax, args.x2max)
@@ -355,10 +361,9 @@ def _cmd_flat_section(args) -> int:
 
 
 def _cmd_multiplicities(args) -> int:
-    alphas = _int_list(args.alphas)
-    p = len(alphas) - 1
-    coeffs = closed_forms.verma_multiplicities(alphas, _int_list(args.betas), p, args.order)
-    _table(args.format, lambda: {"p": p, "coefficients": coeffs}, lambda: enumerate(coeffs),
+    params = _appell_lerch_options(args)
+    coeffs = closed_forms.verma_multiplicities(params, args.order)
+    _table(args.format, lambda: {"p": params.p, "coefficients": coeffs}, lambda: enumerate(coeffs),
            f"multiplicity coefficients a_k, k = 0..{args.order}", "k,a_k",
            lambda k, a: f"a_{k}\t{a}")
     return 0

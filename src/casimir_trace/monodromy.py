@@ -22,7 +22,9 @@ free nullspaces of (kappa - c)^s and S^-1 as B / d, one division per entry
 at the end), checks its ODE once on integer matrices over one common
 denominator, keeps it in a bounded LRU (a handful of entries: callers ask
 for the same space back to back), and refuses spaces above
-COMPONENTS_DIM_MAX before building a matrix.
+COMPONENTS_DIM_MAX before building a matrix.  One product, _minus_c, takes
+every (kappa - c) step there: the powers whose nullspaces are searched, the
+chains (kappa - c)^j S_c and the ODE check.
 
 Graded traces read kappa's spectra off the character; they build no
 matrix.  kappa = C - h^2/2 with C = ef + fe + h^2/2 the Casimir, and C acts
@@ -58,7 +60,8 @@ at every positive weight; below weight 0 the walk runs up from the bottom
 instead, mirrored (kappa = 2ef - h, e steps).  Where that test passes,
 the new eigenvalue never meets a carried one, so kappa stays
 diagonalizable and its Jordan blocks have size 1.  _ahead proves
-[e, f] = h on every level the walk passes or a caller asks for; on W_v,
+[e, f] = h on every level the walk reaches, its start included, as that
+level's look-ahead; on W_v,
 kappa_v - (2 F_v E_v + v) = [e, f] - h, so that is kappa = 2 F E + v (or
 2 E F - v) entry by entry, with kappa read off the same action of e and f.
 
@@ -93,7 +96,6 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from . import linalg
 from .closed_forms import AppellLerchParams, verma_multiplicities
@@ -136,27 +138,6 @@ class SpectralData:
         }
 
 
-def _int_powers_minus_c(kappa: tuple[tuple[int, ...], ...],
-                        c: int) -> Iterator[list[list[int]]]:
-    """(kappa - c)^s for s = 1, 2, ... from kappa's rows: each power is the
-    one before times (kappa - c), computed only when the next one is asked for."""
-    n = len(kappa)
-    base = [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(kappa)]
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in base]
-    power = base
-    while True:
-        yield power
-        nxt = []
-        for row in power:
-            acc = [0] * n
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in sparse[k]:
-                        acc[j] += a * b
-            nxt.append(acc)
-        power = nxt
-
-
 def spectral(expr: ModuleExpr, w: int) -> SpectralData:
     """Exact eigenvalue data of kappa on the weight-w space.
 
@@ -185,15 +166,34 @@ def spectral(expr: ModuleExpr, w: int) -> SpectralData:
 # monodromy matrices too
 
 
-def _outer_sum(cols: list[list[int]], rows: list[list[int]], d: int, n: int):
-    """sum_b cols[b] (x) rows[b] / d as a frozen n x n matrix: the sums run
-    on integers, and each entry is divided by d once."""
+def _minus_c(kappa: tuple[tuple[int, ...], ...]):
+    """(c, rows) -> (kappa - c) times the integer matrix with those rows, in
+    O(nnz(kappa) width) steps; kappa's sparse rows, diagonal entry first, are
+    read once here for every product the caller makes."""
+    sparse = [(i, row[i], [(k, x) for k, x in enumerate(row) if x and k != i])
+              for i, row in enumerate(kappa)]
+
+    def product(c: int, rows: list[list[int]]) -> list[list[int]]:
+        out = []
+        for i, diagonal, rest in sparse:
+            shift = diagonal - c
+            acc = [shift * y for y in rows[i]]
+            for k, x in rest:
+                acc = [a + x * y for a, y in zip(acc, rows[k])]
+            out.append(acc)
+        return out
+
+    return product
+
+
+def _outer_sum(chain: list[list[int]], rows: list[list[int]], d: int):
+    """chain times rows over d as a frozen matrix: the sums run on integers,
+    and each entry is divided by d once."""
     fracs = {0: Fraction(0)}  # entries repeat: one Fraction per distinct value
     out = []
-    for i in range(n):
-        acc = [0] * n
-        for col, r in zip(cols, rows):
-            x = col[i]
+    for xs in chain:
+        acc = [0] * len(rows[0])
+        for x, r in zip(xs, rows):
             if x:
                 acc = [a + x * y for a, y in zip(acc, r)]
         out.append(tuple([fracs[a] if a in fracs else fracs.setdefault(a, Fraction(a, d))
@@ -259,10 +259,14 @@ def spectral_components(expr: ModuleExpr, w: int) -> FlatSectionExpr:
             f"flat sections are limited to dimension {COMPONENTS_DIM_MAX}")
     wm = kappa_matrix(expr, w)
     n = wm.dimension
+    minus_c = _minus_c(wm.entries)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
     columns: list[list[int]] = []
     spans: list[tuple[int, int, int, int]] = []  # (c, start, size, chain length)
     for c, m in eigs:
-        for s, power in zip(range(1, m + 1), _int_powers_minus_c(wm.entries, c)):
+        power = identity
+        for s in range(1, m + 1):
+            power = minus_c(c, power)
             vecs = linalg.nullspace_int(power, n)
             if len(vecs) >= m:
                 break
@@ -275,19 +279,18 @@ def spectral_components(expr: ModuleExpr, w: int) -> FlatSectionExpr:
         raise InvariantError(
             "generalized eigenspaces do not span; the predicted spectrum is wrong")
     # S B = d I: the rows of S^-1 are those of B over d
-    d, s_inv = linalg.inverse_int([[columns[j][i] for j in range(n)] for i in range(n)])
-    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in wm.entries]
+    s_rows = [[col[i] for col in columns] for i in range(n)]
+    d, s_inv = linalg.inverse_int(s_rows)
     terms = []
-    for c, start, size, chain in spans:
-        cols, rows = columns[start : start + size], s_inv[start : start + size]
-        for j in range(chain):
-            terms.append((c, j, _outer_sum(cols, rows, d, n)))
-            last = cols
-            cols = [[sum(x * v[k] for k, x in sparse[i]) - c * v[i] for i in range(n)]
-                    for v in cols]
-        if any(map(any, cols)) or not any(map(any, last)):
+    for c, start, size, length in spans:
+        # the c-block's columns of S as the rows of an n x size matrix
+        chain = [row[start : start + size] for row in s_rows]
+        for j in range(length):
+            terms.append((c, j, _outer_sum(chain, s_inv[start : start + size], d)))
+            last, chain = chain, minus_c(c, chain)
+        if any(map(any, chain)) or not any(map(any, last)):
             raise InvariantError(
-                f"(kappa - {c})^j does not vanish exactly at the nullspace index {chain}")
+                f"(kappa - {c})^j does not vanish exactly at the nullspace index {length}")
     fs = FlatSectionExpr(weight=w, labels=wm.labels, terms=tuple(terms), kappa=wm.entries)
     if not fs.check_ode():
         raise InvariantError("flat section fails its defining ODE")
@@ -484,21 +487,15 @@ class FlatSectionExpr:
         dens = {x.denominator for _c, _j, mat in self.terms for row in mat for x in row}
         d = math.lcm(*dens)
         scale = {q: d // q for q in dens}
-        sparse = [[(r, x) for r, x in enumerate(row) if x] for row in self.kappa]
-        zero = [0] * n
-        total = [zero] * n
+        minus_c = _minus_c(self.kappa)
+        total = zero = [[0] * n for _ in range(n)]
         for c, chain in chains.items():
             # one eigenvalue's terms scaled at a time
             scaled = [[[x.numerator * scale[x.denominator] for x in row] for row in mat]
                       for mat in chain]
-            for t, mat in enumerate(scaled):
-                nxt = scaled[t + 1] if t + 1 < len(scaled) else None
-                for i, krow in enumerate(sparse):
-                    lhs = zero
-                    for r, x in krow:
-                        lhs = [a + x * y for a, y in zip(lhs, mat[r])]
-                    if lhs != [c * a + b for a, b in zip(mat[i], nxt[i] if nxt else zero)]:
-                        return False
+            for mat, nxt in zip(scaled, scaled[1:] + [zero]):
+                if minus_c(c, mat) != nxt:
+                    return False
             total = [[a + b for a, b in zip(x, y)] for x, y in zip(total, scaled[0])]
         # completeness of the projections: sum_c d A_c0 = d I
         return all(row == [d * (i == k) for k in range(n)] for i, row in enumerate(total))
@@ -591,8 +588,8 @@ class _Walk:
     the weight space reached, kappa's spectrum there as {c: m} and its
     largest Jordan blocks as {c: b}, the columns of the stepping generator
     into it from the level before (``step``) and of the other generator back
-    (``back``), and, once a caller has asked for this weight, the next level
-    as _ahead returns it, with [e, f] = h proven here (``ahead``)."""
+    (``back``), and the next level as _ahead returns it, with [e, f] = h
+    proven here (``ahead``): built on every level reached, never None."""
 
     __slots__ = ("key", "expr", "sign", "weight", "basis", "spectrum", "blocks", "step", "back",
                  "ahead")
@@ -603,8 +600,9 @@ class _Walk:
         self.basis = weight_space(self.expr, self.weight)
         # past the end the space is zero, so there kappa = sign h = top: blocks of size 1
         self.spectrum, self.blocks = {top: len(self.basis)}, {top: 1}
-        self.step, self.ahead = [], None
+        self.step = []
         self.back = action_columns("e" if sign > 0 else "f", self.expr, self.basis, [])
+        self.ahead = _ahead(self)
 
 
 # Walks between calls, the latest last, so that prove_spectra's consecutive
@@ -615,7 +613,7 @@ class _Walk:
 # (spectral on P below where conjecture walked P's branch); none older.
 # On a 2-vCPU VM restarting those 5 costs 15 to 26 ms a round, continuing
 # them 0.3 to 2 ms: a continued walk reuses the look-ahead proven at the
-# level it was last asked for.  trace-cli starts 3 walks and continues none;
+# level it stopped at.  trace-cli starts 3 walks and continues none;
 # exact-monodromy never walks.  A walk holds three bases and two levels of
 # sparse e and f (with the look-ahead): 0.07 MB on the benchmark's largest
 # space (n = 66), 0.37 MB on L20 x L20 x L20 at 0 (n = 331; tracemalloc).
@@ -657,12 +655,12 @@ def _ahead(walk: _Walk) -> tuple[list, list[dict[int, int]], list[dict[int, int]
 
 def _step(walk: _Walk) -> None:
     """Moves the walk from W_u to W_v, v = u - 2 sign, after proving that
-    [e, f] = h on W_u (_ahead) and that the stepping generator is injective
-    there."""
+    the stepping generator is injective on W_u ([e, f] = h there is the
+    look-ahead's proof), and builds the look-ahead of W_v."""
     sign, u = walk.sign, walk.weight
     v = u - 2 * sign
     prev = walk.basis
-    here, step, back = walk.ahead or _ahead(walk)
+    here, step, back = walk.ahead
     if _is_finite(walk.key):
         # back step = (kappa_u + sign u) / 2 on W_u, invertible unless
         # -sign u is an eigenvalue there.  Without it no carried eigenvalue
@@ -690,7 +688,8 @@ def _step(walk: _Walk) -> None:
         carried = blocks.get(new)
         blocks[new] = 1 if carried is None else _collision_block(step, back, carried, spectrum[new])
     walk.weight, walk.basis, walk.spectrum, walk.blocks = v, here, spectrum, blocks
-    walk.step, walk.back, walk.ahead = step, back, None
+    walk.step, walk.back = step, back
+    walk.ahead = _ahead(walk)
 
 
 def _times(cols: list[dict[int, int]], mat: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -711,8 +710,8 @@ def _collision_block(step: list[dict[int, int]], back: list[dict[int, int]], car
     pieces meet a carried block of size ``carried``: that size or one more,
     and the same size iff (kappa_v - sign v)^carried has nullity m, the
     eigenvalue's multiplicity (module docstring).  kappa_v - sign v is
-    2 step back, as _ahead proves on W_v before the walk passes or returns
-    it, and its powers have the ranks of those of step back.  The power is
+    2 step back, as _ahead proves on W_v before the step returns, and its
+    powers have the ranks of those of step back.  The power is
     ranked in the sparse {row: entry} columns that _times builds."""
     half = _times(back, step)
     power = half
@@ -750,8 +749,6 @@ def _branch_spectrum(key: BranchKey, w: int) -> tuple[tuple[int, int, int], ...]
     if not predicted:
         return ()
     walk = _walk_to(key, w)
-    if walk.ahead is None:
-        walk.ahead = _ahead(walk)
     derived = sorted(walk.spectrum.items())
     if derived != predicted:
         raise InvariantError(f"branch {key} weight {w}: the walk gives {derived}, "
@@ -890,15 +887,16 @@ def trace_deformed(expr: ModuleExpr, l: int, order: Rat) -> BiSeries:
     return BiSeries(out, order)
 
 
-def trace_via_decomposition(alphas, betas, p: int, l: int, order: Rat) -> QSeries:
+def trace_via_decomposition(params: AppellLerchParams, order: Rat) -> QSeries:
     """Second route to the tensor-product trace: Verma constituents.
 
     sum_{n>=0} sum_k a_{k,p} q^(l(n^2 + (2n+1)k)) with a_{k,p} the
-    multiplicity coefficients; independent of the spectral route."""
-    AppellLerchParams(tuple(alphas), tuple(betas), p, l)  # validate
+    multiplicity coefficients of params and l its loop count; independent
+    of the spectral route."""
+    l = params.loops
     order = as_frac(order)
     kmax = max(0, math.ceil(order / l) - 1)  # n = 0 reaches the deepest k
-    mults = verma_multiplicities(alphas, betas, p, kmax)
+    mults = verma_multiplicities(params, kmax)
     out: dict[Fraction, Fraction] = {}
     n = 0
     while l * n * n < order:

@@ -19,7 +19,7 @@ The contract is coded in two places, one for each direction:
   by order.  It returns the first key, in sorted order, at which two series
   of one kind differ below a given order, with both coefficients, and
   raises PrecisionError when that order is past either series' order.
-  ``series_eq`` and ``biseries_eq`` ask whether it finds nothing.
+  ``series_eq`` asks whether it finds nothing, for either kind.
 
 All coefficients are fractions.Fraction; no floating point anywhere.
 """
@@ -233,8 +233,10 @@ def series_diff_witness(a: _Truncated, b: _Truncated, order: Rat) -> tuple | Non
     return key, ta.get(key, _ZERO), tb.get(key, _ZERO)
 
 
-def series_eq(a: QSeries, b: QSeries, order: Rat) -> bool:
-    """Exact term-by-term equality below ``order`` (series_diff_witness)."""
+def series_eq(a: _Truncated, b: _Truncated, order: Rat) -> bool:
+    """Exact term-by-term equality below ``order`` of two series of one kind
+    (series_diff_witness): for BiSeries, bidegree by bidegree, the order
+    bounding the q-grading."""
     return series_diff_witness(a, b, order) is None
 
 
@@ -284,12 +286,6 @@ class BiSeries(_Truncated):
             "q_order": exp_str(self.order),
             "terms": [[exp_str(e), str(k), rat_str(c)] for (e, k), c in self.items()],
         }
-
-
-def biseries_eq(a: BiSeries, b: BiSeries, order: Rat) -> bool:
-    """Bidegree-exact equality below ``order`` in the q-grading
-    (series_diff_witness)."""
-    return series_diff_witness(a, b, order) is None
 
 
 class MuPoly:

@@ -7,9 +7,10 @@ name to the reports it runs for a seed.  Randomized configurations are
 drawn by one seeded drawer, ``_draw``, and the seed is recorded, so every
 report is reproducible bit for bit.
 
-The route comparison of Table 2 reads its Appell-Lerch parameters
-(alphas, betas) off the expression itself (``_appell_lerch_params``, the
-inverse of ``conjecture_pair``), so no caller states them next to it.
+The route comparison of Table 2 reads its Appell-Lerch parameters off the
+expression itself (``_appell_lerch_params``, the inverse of
+``conjecture_pair``), as the one AppellLerchParams that the decomposition
+route and the closed form both take, so no caller states them next to it.
 The spectral route never reads them: a wrong reading fails the comparison.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,7 +82,7 @@ def _witness(where: str, a, b, order) -> str | None:
 
 
 @_timed
-def check_theorem1(k_max: int = 100, _perturb=None) -> CheckReport:
+def check_theorem1(k_max: int = 100) -> CheckReport:
     """kappa on P(-2k) in the canonical basis, its Jordan form, and the
     stated chain vector, exactly for k = 1..k_max."""
     if k_max < 1:
@@ -90,9 +92,7 @@ def check_theorem1(k_max: int = 100, _perturb=None) -> CheckReport:
     big_p = rep.BigP()
     for k in range(1, k_max + 1):
         wm = rep.kappa_matrix(big_p, -2 * k)
-        entries = [list(row) for row in wm.entries]
-        if _perturb is not None:
-            entries = _perturb(k, entries)
+        entries = wm.entries
         expected = [[-2 * k * (k + 1), 2], [-2 * k * k, -2 * k * (k - 1)]]
         for i in range(2):
             for j in range(2):
@@ -200,31 +200,33 @@ def _factor_counts(factor: rep.ModuleExpr) -> tuple[int, int, int]:
         "compare handles tensor products of direct sums of M0, M-2, P")
 
 
-def _appell_lerch_params(expr) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(alphas, betas) of a tensor product of direct sums of M0, M(-2) and
-    P, once each P is resolved into M0 + M(-2): the inverse of _sum_factor
-    and conjecture_pair.  Anything else is refused."""
+def _appell_lerch_params(expr, l: int = 1) -> AppellLerchParams:
+    """The Appell-Lerch parameters of a tensor product of direct sums of M0,
+    M(-2) and P at l loops: its (alphas, betas) once each P is resolved into
+    M0 + M(-2), the inverse of _sum_factor and conjecture_pair, and p one
+    less than the number of factors.  Anything else is refused."""
     factors = expr.parts if isinstance(expr, rep.Tensor) else (expr,)
     counts = [_factor_counts(f) for f in factors]
     if len(counts) < 2:
         raise UnsupportedInputError(
             "compare needs at least two tensor factors (the closed form has p >= 1)")
-    return tuple(a + g for a, _b, g in counts), tuple(b + g for _a, b, g in counts)
+    return AppellLerchParams(tuple(a + g for a, _b, g in counts),
+                             tuple(b + g for _a, b, g in counts), len(counts) - 1, l)
 
 
-def _three_routes(expr, l, order) -> str | None:
+def _three_routes(expr, params: AppellLerchParams, order) -> str | None:
     """Pairwise-compare the spectral trace, the Verma-constituent route, and
-    the closed form; returns a witness string or None.  The spectral trace
-    reads kappa's spectra off the character, and prove_spectra first proves
-    each of them against its kappa matrix (raising InvariantError if one
-    fails).  Only the last two routes read (alphas, betas) off ``expr``, so
-    a wrong reading fails the comparison."""
-    alphas, betas = _appell_lerch_params(expr)
-    p = len(alphas) - 1
+    the closed form at params.loops loops; returns a witness string or None.
+    The spectral trace reads kappa's spectra off the character, and
+    prove_spectra first proves each of them against its kappa matrix
+    (raising InvariantError if one fails).  Only the last two routes read
+    params, which _appell_lerch_params reads off ``expr``, so a wrong
+    reading fails the comparison."""
+    l = params.loops
     monodromy.prove_spectra(expr, l, order)
     t_spec = monodromy.trace_series(expr, l, order)
-    t_dec = monodromy.trace_via_decomposition(alphas, betas, p, l, order)
-    t_cf = partial_appell_lerch(AppellLerchParams(alphas, betas, p, l), order)
+    t_dec = monodromy.trace_via_decomposition(params, order)
+    t_cf = partial_appell_lerch(params, order)
     for la, ra, a, b in (
         ("spectral", "decomposition", t_spec, t_dec),
         ("decomposition", "closed-form", t_dec, t_cf),
@@ -240,13 +242,13 @@ def _three_routes(expr, l, order) -> str | None:
 def compare_routes(name: str, expr, l: int, order) -> CheckReport:
     """The route comparison of Table 2 on one tensor product of direct sums
     of M0, M(-2) and P."""
-    witness = _three_routes(expr, l, order)
-    alphas, betas = _appell_lerch_params(expr)
+    params = _appell_lerch_params(expr, l)
+    witness = _three_routes(expr, params, order)
     return CheckReport(
         name, "fail" if witness else "pass",
         f"l={l}, order<{order}, routes spectral/decomposition/closed-form",
         witness=witness,
-        extras={"alphas": list(alphas), "betas": list(betas), "p": len(alphas) - 1},
+        extras={"alphas": list(params.alphas), "betas": list(params.betas), "p": params.p},
     )
 
 
@@ -281,13 +283,13 @@ def check_table2(l: int = 1, order=30, samples: int = 5, sample_order=15,
     covered = (f"l={l}, named rows to order {order}, "
                f"{samples} seeded configs to order {sample_order} (seed {seed})")
     for row, expr in TABLE2_ROWS:
-        w = _three_routes(expr, l, order)
+        w = _three_routes(expr, _appell_lerch_params(expr, l), order)
         if w:
             return CheckReport(name, "fail", covered, witness=f"row {row}: {w}")
     configs = []
     for i, (config, expr) in enumerate(_seeded_tensors(seed, samples)):
         configs.append(config)
-        w = _three_routes(expr, l, sample_order)
+        w = _three_routes(expr, _appell_lerch_params(expr, l), sample_order)
         if w:
             return CheckReport(
                 name, "fail", covered, witness=f"config {i} {config}: {w}",
@@ -329,7 +331,7 @@ def check_multiplicities(seed: int = DEFAULT_SEED, samples: int = 5,
     for i, (config, expr) in enumerate(_seeded_tensors(seed, samples)):
         configs.append(config)
         expected = closed_forms.verma_multiplicities(
-            config["alphas"], config["betas"], config["p"], k_max)
+            AppellLerchParams(config["alphas"], config["betas"], config["p"]), k_max)
         for k in range(k_max + 1):
             # singular vectors agree with the flag count except at -2, where
             # every M_0 flag top contributes its own f v
@@ -418,6 +420,8 @@ class ZetaCheckParams:
     tol: float = 1e-6
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.tol)):
+            raise DomainError(f"s and the tolerance must be finite, got s={self.s}, tol={self.tol}")
         if self.s <= 1:
             raise DomainError("the identity needs s > 1 for absolute convergence")
         if not (0 < self.t_min < self.t_max):
@@ -437,6 +441,13 @@ class ZetaCheckParams:
 ZETA_NODES_MAX = 4000
 ZETA_N_MAX = 10_000_000
 ZETA_EVALS_MAX = 70_000_000
+# inputs the check cannot compute with in floats: Gamma(s/2) of the
+# reference overflows past s = 343.2, and 4 pi l must be a float.  A window
+# that ends below the smallest normal float (sys.float_info.min) lies in
+# subnormal floats, whose relative precision shrinks with their size, so its
+# quadrature nodes cannot be placed.
+ZETA_S_MAX = 340
+ZETA_LOOPS_MAX = int(sys.float_info.max / (4.0 * math.pi))
 
 
 def _zeta_evals_bound(p: ZetaCheckParams) -> int:
@@ -447,13 +458,24 @@ def _zeta_evals_bound(p: ZetaCheckParams) -> int:
     cap = 120.0 / (4.0 * math.pi * p.loops)
     if cap <= p.t_min:
         return 0
-    windows = min(p.n_max, math.isqrt(int(cap / p.t_max)) + 1)
+    ratio = cap / p.t_max  # inf for t_max near the float minimum
+    windows = p.n_max if ratio >= p.n_max ** 2 else math.isqrt(int(ratio)) + 1
     panels = math.ceil((math.log(cap) - math.log(p.t_min)) / math.log(4))
     return windows * panels * (p.nodes + max(2, p.nodes // 2))
 
 
 def _zeta_size_guard(p: ZetaCheckParams) -> None:
-    """Refuse, before any work, a check that would run well past 10 s."""
+    """Refuse, before any work, a check that floats cannot compute or that
+    would run well past 10 s."""
+    if p.s > ZETA_S_MAX:
+        raise UnsupportedInputError(
+            f"zeta check: s {p.s:g} is above {ZETA_S_MAX}, near where Gamma(s/2) overflows")
+    if p.loops > ZETA_LOOPS_MAX:
+        raise UnsupportedInputError("zeta check: the loop count puts 4 pi l past the float range")
+    if p.t_max < sys.float_info.min:
+        raise UnsupportedInputError(
+            f"zeta check: t_max {p.t_max:g} is below the smallest normal float "
+            f"{sys.float_info.min:g}, too coarse for quadrature nodes")
     for what, value, cap in (("nodes", p.nodes, ZETA_NODES_MAX),
                              ("n_max", p.n_max, ZETA_N_MAX),
                              ("integrand evaluations", _zeta_evals_bound(p), ZETA_EVALS_MAX)):

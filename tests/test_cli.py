@@ -207,6 +207,33 @@ def test_zeta_check_refuses_past_its_size_caps(option, cap):
     assert "above the cap" in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["--s", "nan"], 2, "s and the tolerance must be finite"),
+    (["--s", "inf"], 2, "s and the tolerance must be finite"),
+    (["--tol", "nan"], 2, "s and the tolerance must be finite"),
+    (["--s", "400"], 3, "s 400 is above 340"),
+    (["--s", "1e308"], 3, "s 1e+308 is above 340"),
+    (["--t-min", "1e-322", "--t-max", "1e-320"], 3, "below the smallest normal float"),
+    (["--loops", "1" + "0" * 400], 3, "4 pi l past the float range"),
+])
+def test_zeta_check_refuses_floats_it_cannot_compute_with(argv, code, message, monkeypatch):
+    def no_quadrature(p):
+        raise AssertionError("the check started work on an input it refuses")
+
+    monkeypatch.setattr(verify, "_term_sums", no_quadrature)
+    got, out, err = run(["zeta-check"] + argv)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
+def test_cone_refuses_a_q_max_past_the_float_range():
+    # isqrt takes any integer: 10^400 is refused by the size cap, not by a
+    # float overflow
+    code, out, err = run(["closed-form", "--family", "appell-lerch-cone", "--qmax", "1" + "0" * 400])
+    assert (code, out) == (3, "")
+    assert "cone window visits up to" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["jordan", "--rep", "P", "--weight", "-2"],
     ["flat-section", "--rep", "P", "--weight", "-2"],

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_trace import closed_forms
 from casimir_trace.closed_forms import (
     AppellLerchParams,
     ConeWindow,
@@ -13,7 +15,7 @@ from casimir_trace.closed_forms import (
     partial_theta,
     verma_multiplicities,
 )
-from casimir_trace.errors import DomainError
+from casimir_trace.errors import DomainError, UnsupportedInputError
 
 F = Fraction
 
@@ -147,6 +149,30 @@ def test_cone_window_narrow():
     }
 
 
+def test_cone_refuses_a_window_just_above_the_cap(monkeypatch):
+    # x2_max = 0: the bound is 2 isqrt(q_max) + 1 points, here one above the
+    # cap; the only isqrt taken is the bound's, so no row is enumerated
+    r = closed_forms.CONE_POINTS_MAX // 2
+    assert 2 * (r - 1) + 1 <= closed_forms.CONE_POINTS_MAX < 2 * r + 1
+    calls = []
+    isqrt = math.isqrt
+    monkeypatch.setattr(closed_forms.math, "isqrt", lambda x: calls.append(x) or isqrt(x))
+    with pytest.raises(UnsupportedInputError, match=f"up to {2 * r + 1} points"):
+        appell_lerch_cone(ConeWindow(0, r * r, 0))
+    assert calls == [r * r]
+
+
+def test_cone_cap_counts_every_point_of_the_window(monkeypatch):
+    # (x2_max + 1)(2 isqrt(q_max + x2_max^2) + 1) = 3 * 7 for this window:
+    # taken at that cap, refused one below it
+    window = ConeWindow(-4, 5, 2)
+    monkeypatch.setattr(closed_forms, "CONE_POINTS_MAX", 21)
+    assert appell_lerch_cone(window).terms
+    monkeypatch.setattr(closed_forms, "CONE_POINTS_MAX", 20)
+    with pytest.raises(UnsupportedInputError, match="up to 21 points"):
+        appell_lerch_cone(window)
+
+
 def test_cone_window_matches_rational_form():
     # sum_{v2 >= 0} q^(v1^2 + 2 v1 v2) x1^v1 x2^v2 inside the window against
     # brute-force enumeration over a large exponent box
@@ -163,12 +189,12 @@ def test_cone_window_matches_rational_form():
 
 
 def test_verma_multiplicities_fixed_row():
-    assert verma_multiplicities((2, 3), (1, 1), 1, 6) == [6, 11, 12, 12, 12, 12, 12]
+    assert verma_multiplicities(AppellLerchParams((2, 3), (1, 1), 1), 6) == [6, 11, 12, 12, 12, 12, 12]
 
 
 def test_verma_multiplicities_p2():
     # (1+y)^2 / (1-y)^2 = 1 + 4y + 8y^2 + 12y^3 + ...
-    got = verma_multiplicities((1, 1, 1), (1, 1, 0), 2, 4)
+    got = verma_multiplicities(AppellLerchParams((1, 1, 1), (1, 1, 0), 2), 4)
     num = [1, 2, 1]  # (1+y)^2, the third factor contributes a constant
     acc = []
     for k in range(5):
@@ -181,10 +207,13 @@ def test_verma_multiplicities_p2():
 
 
 def test_verma_multiplicities_validation():
+    # the shape is refused where the parameters are built, K where it is read
     with pytest.raises(DomainError):
-        verma_multiplicities((1,), (0, 0), 1, 3)
+        verma_multiplicities(AppellLerchParams((1,), (0, 0), 1), 3)
     with pytest.raises(DomainError):
-        verma_multiplicities((0, 1), (0, 0), 1, 3)
+        verma_multiplicities(AppellLerchParams((0, 1), (0, 0), 1), 3)
+    with pytest.raises(DomainError, match="K must be non-negative"):
+        verma_multiplicities(AppellLerchParams((1, 1), (0, 0), 1), -1)
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=2, max_value=20))
@@ -222,7 +251,7 @@ def test_multiplicities_nonnegative_and_stable(factors):
     alphas = tuple(a for a, _ in factors)
     betas = tuple(b for _, b in factors)
     p = len(factors) - 1
-    ms = verma_multiplicities(alphas, betas, p, 12)
+    ms = verma_multiplicities(AppellLerchParams(alphas, betas, p), 12)
     assert all(m >= 0 for m in ms)
     if p == 1:
         # eventually constant at prod(alpha_i + beta_i)

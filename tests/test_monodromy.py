@@ -234,6 +234,34 @@ def test_walk_cache_is_bounded_and_continues_one_walk(monkeypatch):
     monodromy._branch_spectrum.cache_clear()
 
 
+def test_every_walk_level_carries_its_look_ahead(monkeypatch):
+    # _ahead runs once on each level the walk reaches, its start included:
+    # the steps and the asked levels reuse it, and no level goes without it
+    monodromy._WALKS.clear()
+    monodromy._branch_spectrum.cache_clear()
+    reached = []
+    ahead = monodromy._ahead
+    monkeypatch.setattr(monodromy, "_ahead", lambda walk: reached.append(walk.weight) or ahead(walk))
+    try:
+        expr = rep.Tensor((M0, P))
+        (key,) = rep.tensor_branches(expr)
+        top = sum(t[1] for t in key)
+        walk = monodromy._Walk(key, 1)
+        assert reached == [top] and walk.ahead is not None
+        monodromy._step(walk)
+        assert reached == [top, top - 2]
+        reached.clear()
+        monodromy.prove_spectra(expr, 1, F(12))
+        walk = monodromy._WALKS[key]
+        assert reached == list(range(top, walk.weight - 1, -2))
+        here, step, back = walk.ahead
+        assert here == rep.weight_space(walk.expr, walk.weight - 2)
+        assert (len(step), len(back)) == (len(walk.basis), len(here))
+    finally:
+        monodromy._WALKS.clear()
+        monodromy._branch_spectrum.cache_clear()
+
+
 def _bump_e(action_columns, into=None):
     """action_columns with one entry of e raised by 1: on every level, or
     only from W_(into - 2) into W_into."""
@@ -404,11 +432,15 @@ def test_spectral_sums_branches():
 def _block_size(kappa, c, m):
     """Largest Jordan block of c: the smallest s with nullity((kappa - c)^s)
     = m, by the Gauss-Jordan nullspace of the powers of the whole matrix,
-    given by its rows (neither the walk nor the rank it uses)."""
+    given by its rows, each power a dense product of its own (neither the
+    walk, nor the rank it uses, nor the flat section's product)."""
     n = len(kappa)
-    for s, power in zip(range(1, m + 1), monodromy._int_powers_minus_c(kappa, c)):
+    base = [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(kappa)]
+    power = base
+    for s in range(1, m + 1):
         if len(linalg.nullspace_int(power, n)) == m:
             return s
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*base)] for row in power]
     raise AssertionError(f"generalized eigenspace of {c} never reached multiplicity {m}")
 
 
@@ -575,7 +607,7 @@ def test_trace_via_decomposition_matches():
             expr_parts.append(terms[0] if len(terms) == 1 else rep.DirectSum(tuple(terms)))
         expr = rep.Tensor(tuple(expr_parts))
         direct = trace_series(expr, 1, F(8))
-        fast = trace_via_decomposition(alphas, betas, p, 1, F(8))
+        fast = trace_via_decomposition(AppellLerchParams(alphas, betas, p, 1), F(8))
         assert series_eq(direct, fast, F(8))
 
 
@@ -595,8 +627,8 @@ def test_trace_via_decomposition_is_the_partial_appell_lerch_sum(shape, l, half_
     # and a fractional order must still reach the deepest multiplicity
     alphas, betas, p = shape
     order = F(half_order, 2)
-    want = partial_appell_lerch(AppellLerchParams(alphas, betas, p, l), order)
-    assert trace_via_decomposition(alphas, betas, p, l, order) == want
+    params = AppellLerchParams(alphas, betas, p, l)
+    assert trace_via_decomposition(params, order) == partial_appell_lerch(params, order)
 
 
 def test_jordan_2x2_defective():

@@ -10,7 +10,6 @@ from casimir_trace.series import (
     MuPoly,
     QSeries,
     as_frac,
-    biseries_eq,
     geometric,
     series_diff_witness,
     series_eq,
@@ -84,7 +83,7 @@ def test_diff_witness_reaches_the_last_exponent_below_order():
     x = BiSeries({(F(0), 0): F(1), (F(11, 2), 3): F(2)}, F(6))
     y = BiSeries({(F(0), 0): F(1), (F(11, 2), 1): F(2)}, F(6))
     assert series_diff_witness(x, y, F(6)) == ((F(11, 2), 1), F(0), F(2))
-    assert not biseries_eq(x, y, F(6)) and biseries_eq(x, y, F(11, 2))
+    assert not series_eq(x, y, F(6)) and series_eq(x, y, F(11, 2))
 
 
 def test_diff_witness_refuses_two_kinds():
@@ -181,7 +180,7 @@ def test_biseries_roundtrip_and_specialize():
     assert b.to_obj()["terms"] == [["0", "0", "1/1"], ["1", "1", "1/1"], ["4", "2", "1/1"]]
     s = b.at_x_one()
     assert s.items() == [(F(0), F(1)), (F(1), F(1)), (F(4), F(1))]
-    assert biseries_eq(b, b, F(9))
+    assert series_eq(b, b, F(9))
 
 
 def test_mupoly_arithmetic():
@@ -225,17 +224,16 @@ def series_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_diff_witness_is_the_first_difference_below_order(pair):
     a, b, order, q = pair
-    eq = series_eq if isinstance(a, QSeries) else biseries_eq
     if order > min(a.order, b.order):
         with pytest.raises(PrecisionError):
             series_diff_witness(a, b, order)
         with pytest.raises(PrecisionError):
-            eq(a, b, order)
+            series_eq(a, b, order)
         return
     below_a = {k: c for k, c in a.items() if q(k) < order}
     below_b = {k: c for k, c in b.items() if q(k) < order}
     w = series_diff_witness(a, b, order)
-    assert (w is None) == (below_a == below_b) == eq(a, b, order)
+    assert (w is None) == (below_a == below_b) == series_eq(a, b, order)
     if w is not None:
         key, ca, cb = w
         assert q(key) < order and ca != cb

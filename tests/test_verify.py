@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_trace import rep, verify
+from casimir_trace.closed_forms import AppellLerchParams
 from casimir_trace.errors import DomainError, UnsupportedInputError
 from casimir_trace.series import BiSeries, QSeries, as_frac
 from casimir_trace.verify import (
@@ -29,16 +31,19 @@ def test_theorem1_passes():
     assert r.witness is None
 
 
-def test_theorem1_perturbation_is_caught():
+def test_theorem1_perturbation_is_caught(monkeypatch):
     # flip one matrix entry; the harness must localize the failure
-    def perturb(k, entries):
-        if k == 17:
-            entries = [list(row) for row in entries]
-            entries[0][1] += 1
-            return entries
-        return entries
+    kappa_matrix = verify.rep.kappa_matrix
 
-    r = check_theorem1(k_max=30, _perturb=perturb)
+    def perturbed(expr, w):
+        wm = kappa_matrix(expr, w)
+        if w != -2 * 17:
+            return wm
+        (a, b), row = wm.entries
+        return dataclasses.replace(wm, entries=((a, b + 1), row))
+
+    monkeypatch.setattr(verify.rep, "kappa_matrix", perturbed)
+    r = check_theorem1(k_max=30)
     assert r.status == "fail"
     assert "k=17" in r.witness
 
@@ -97,9 +102,10 @@ abg_factors = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.intege
 def test_reader_inverts_conjecture_pair(factors):
     alphas, betas, gammas = zip(*factors)
     f, fp = conjecture_pair(alphas, betas, gammas)
-    want = (tuple(a + g for a, _b, g in factors), tuple(b + g for _a, b, g in factors))
-    assert verify._appell_lerch_params(f) == want
-    assert verify._appell_lerch_params(fp) == want
+    want = AppellLerchParams(tuple(a + g for a, _b, g in factors),
+                             tuple(b + g for _a, b, g in factors), len(factors) - 1, 2)
+    assert verify._appell_lerch_params(f, 2) == want
+    assert verify._appell_lerch_params(fp, 2) == want
 
 
 @given(abg_factors, st.data())
@@ -262,6 +268,14 @@ def test_zeta_size_guard_bounds_the_quadrature_work(monkeypatch):
     verify._zeta_size_guard(params(n_max - 1))
     with pytest.raises(UnsupportedInputError, match="integrand evaluations"):
         zeta_mellin_check(params(n_max))
+
+
+def test_zeta_evals_bound_takes_a_t_max_near_the_float_minimum():
+    # 120/(4 pi t_max) overflows to inf here: every term has a window of its own
+    p = ZetaCheckParams(t_min=2.5e-308, t_max=3e-308)
+    assert 120.0 / (4.0 * math.pi) / p.t_max == math.inf
+    assert verify._zeta_evals_bound(p) == p.n_max * verify._zeta_evals_bound(
+        dataclasses.replace(p, n_max=1))
 
 
 def test_zeta_evals_bound_covers_the_quadratures(monkeypatch):
